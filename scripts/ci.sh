@@ -48,6 +48,12 @@
 #                (cmp) to the reference merge. This is the fleet service's
 #                whole contract in one stage: claims survive death, receipts
 #                resume exactly, and sharding never changes a hash.
+#   8. simbench - the benchmark's own selftest (simbench/run.py --selftest):
+#                builds the benchmark against the current core API, runs its
+#                unit tests and lint, and runs every workload briefly in both
+#                modes, checking each prints exactly the metrics
+#                BENCHMARK.json names. A core API change that breaks the
+#                benchmark's build or its metric set fails here.
 #
 # Usage: scripts/ci.sh [extra ctest args...]
 #   e.g. scripts/ci.sh -R Determinism
@@ -89,8 +95,8 @@ done
 
 echo "==== [asan-ubsan] fuzz suite ===="
 # Always run the randomized invariant fuzzer sanitized, even when the caller
-# filtered the matrix above with -R: the fuzzer is where hotplug churn, the
-# load-memo cross-checks, and the decay-forward property get their teeth.
+# filtered the matrix above with -R: the fuzzer is where hotplug churn and
+# the RqLoad-memo cross-check get their teeth.
 ctest --preset asan-ubsan -j "$JOBS" -R 'FuzzInvariants\.'
 
 echo "==== [tsan] configure ===="
@@ -177,4 +183,7 @@ if "$SWEEP" --threads=bogus 2>/dev/null; then
   exit 1
 fi
 
-echo "CI OK: lint + release + asan-ubsan + tsan + bench smoke + stream soak + policy arena + fleet drill all green."
+echo "==== [simbench] benchmark selftest ===="
+python3 simbench/run.py --selftest
+
+echo "CI OK: lint + release + asan-ubsan + tsan + bench smoke + stream soak + policy arena + fleet drill + simbench selftest all green."

@@ -21,11 +21,7 @@ class RqObserver;
 
 class CfsRunqueue {
  public:
-  // `shared_load_epoch`, when given, is bumped alongside load_version_ so an
-  // owner with many runqueues (the scheduler) can invalidate cross-runqueue
-  // caches in O(1) instead of summing per-queue versions.
-  CfsRunqueue(CpuId cpu, const SchedTunables* tunables, uint64_t* shared_load_epoch = nullptr)
-      : cpu_(cpu), tunables_(tunables), shared_load_epoch_(shared_load_epoch) {}
+  CfsRunqueue(CpuId cpu, const SchedTunables* tunables) : cpu_(cpu), tunables_(tunables) {}
   CfsRunqueue(const CfsRunqueue&) = delete;
   CfsRunqueue& operator=(const CfsRunqueue&) = delete;
 
@@ -95,33 +91,16 @@ class CfsRunqueue {
   // that recomputes must fold in this exact order.
   template <typename DivisorFn>
   double LoadAt(Time now, DivisorFn&& divisor_of) const {
-    bool ignored;
-    // wc-lint: allow(A4 this IS the canonical fold the memo caches)
-    return LoadAt(now, divisor_of, &ignored);
-  }
-
-  // As above, additionally reporting whether every runnable entity's tracker
-  // is constant from `now` on (LoadTracker::ConstantFrom): if so, this exact
-  // sum — same doubles, same fold order — is what any later-instant
-  // recomputation would produce, as long as membership, weights, and
-  // divisors are unchanged. The scheduler's cross-instant load memos key on
-  // this.
-  template <typename DivisorFn>
-  double LoadAt(Time now, DivisorFn&& divisor_of, bool* all_constant) const {
     double total = 0;
-    bool all_const = true;
     if (curr_ != nullptr) {
       // wc-lint: allow(A4 curr-first is the pinned fold order the memo replays)
       total += EntityLoad(*curr_, now, divisor_of(curr_->autogroup));
-      all_const = all_const && curr_->load.ConstantFrom(now);
     }
     tree_.ForEach([&](const SchedEntity* se) {
       // wc-lint: allow(A4 vruntime-order tree walk is the pinned fold order)
       total += EntityLoad(*se, now, divisor_of(se->autogroup));
-      all_const = all_const && se->load.ConstantFrom(now);
       return true;
     });
-    *all_constant = all_const;
     return total;
   }
 
@@ -205,7 +184,6 @@ class CfsRunqueue {
   Time min_vruntime_ = 0;
   uint64_t total_weight_ = 0;
   uint64_t load_version_ = 0;
-  uint64_t* shared_load_epoch_ = nullptr;
   RqObserver* observer_ = nullptr;
   // Write-through mirror slots (set_stat_slots). The scheduler installs
   // them at construction, before any entity exists; standalone runqueues
@@ -220,9 +198,6 @@ class CfsRunqueue {
   void BumpLoadVersion() {
     load_version_ += 1;
     *version_slot_ = load_version_;
-    if (shared_load_epoch_ != nullptr) {
-      *shared_load_epoch_ += 1;
-    }
   }
 };
 

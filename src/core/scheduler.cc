@@ -44,12 +44,11 @@ Scheduler::Scheduler(const Topology& topo, const SchedFeatures& features,
   load_cache_version_.assign(n, 0);
   load_cache_epoch_.assign(n, 0);
   load_cache_feat_.assign(n, 0);
-  load_cache_const_.assign(n, 0);
   load_cache_value_.assign(n, 0.0);
   wheel_.assign(n, BalanceWheel{});
   node_idle_gen_.assign(static_cast<size_t>(topo.n_nodes()), 0);
   for (CpuId c = 0; c < topo.n_cores(); ++c) {
-    cpus_.emplace_back(c, &tunables_, &balance_epoch_);
+    cpus_.emplace_back(c, &tunables_);
     cpus_[c].rq.set_stat_slots(&nr_running_[c], &load_version_[c], &overloaded_cpus_);
     online_.Set(c);
   }
@@ -101,15 +100,12 @@ double Scheduler::AutogroupDivisor(AutogroupId id) const {
 double Scheduler::RqLoadFill(Time now, CpuId cpu) const {
   // The miss path of the inline memo in scheduler.h: recompute the fold and
   // snapshot every input the memo keys on.
-  bool all_const = false;
   // wc-lint: allow(A4 the memo's own fill path; every other balance read hits the cache above)
-  double load = cpus_[cpu].rq.LoadAt(
-      now, [this](AutogroupId id) { return AutogroupDivisor(id); }, &all_const);
+  double load = cpus_[cpu].rq.LoadAt(now, [this](AutogroupId id) { return AutogroupDivisor(id); });
   load_cache_now_[cpu] = now;
   load_cache_version_[cpu] = load_version_[cpu];
   load_cache_epoch_[cpu] = ag_epoch_;
   load_cache_feat_[cpu] = feature_gen_;
-  load_cache_const_[cpu] = all_const ? 1 : 0;
   load_cache_value_[cpu] = load;
   return load;
 }
@@ -787,8 +783,6 @@ void Scheduler::SetCpuOnline(Time now, CpuId cpu, bool online) {
   if (online_.Test(cpu) == online) {
     return;
   }
-  balance_epoch_ += 1;  // Group membership (n_cpus) is about to change.
-  topo_epoch_ += 1;     // Per-entry slice of the same fact, for group_cache_.
   if (!online) {
     // If the core sits idle in the index, drop it first: offline cpus are
     // never listed (the evacuation below re-checks idle state with the

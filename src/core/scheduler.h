@@ -146,21 +146,16 @@ class Scheduler {
   // replaced.
   CpuId NohzKickTarget() const;
   ThreadId CurrentThread(CpuId cpu) const;
-  // Memoized per-cpu load; defined inline below the class so the balance
-  // folds' dominant case — a memo hit — costs a few compares at the call
-  // site instead of a cross-TU call per cpu per group.
+  // Memoized per-cpu load; defined inline below the class so a memo hit
+  // costs a few compares at the call site instead of a cross-TU call per
+  // cpu per group.
   double RqLoad(Time now, CpuId cpu) const;
   // From-scratch recomputation bypassing the RqLoad memo cache; the fuzzer
   // cross-checks the cached value against it.
   double RqLoadRecomputed(Time now, CpuId cpu) const;
-  // Every entry of the balancer's group-stats memo matches a from-scratch
-  // recomputation at `now` (vacuously true if the memo is stale, since a
-  // stale memo is flushed before reuse). Fuzzer cross-check, like
-  // RqLoadRecomputed for the RqLoad memo.
-  bool ValidateGroupCache(Time now) const;
   // The per-node idle index is structurally sound and lists exactly the
   // online tickless cpus, in (idle_since, cpu) order. Fuzzer cross-check,
-  // like ValidateGroupCache for the group-stats memo.
+  // like RqLoadRecomputed for the RqLoad memo.
   bool ValidateIdleIndex() const;
   // The balance-due wheel matches a from-scratch recomputation: per-cpu due
   // minima over the domain intervals, cached designation bits (when their
@@ -190,8 +185,8 @@ class Scheduler {
 
   // Mid-run feature toggling (the ablation driver flips fixes while a
   // scenario runs). Bumps the feature generation so every memoized value
-  // derived from the flags — autogroup divisors feed RqLoad, and group stats
-  // build on it — is invalidated instead of served stale. Domain
+  // derived from the flags — autogroup divisors feed RqLoad — is
+  // invalidated instead of served stale. Domain
   // construction flags take effect at the next rebuild (hotplug), as in the
   // kernel.
   void UpdateFeatures(const SchedFeatures& features);
@@ -245,8 +240,7 @@ class Scheduler {
   // pointer-chases one cache line per cpu, while the arrays put eight
   // members' worth of each field on a line or two.
   struct Cpu {
-    Cpu(CpuId id, const SchedTunables* tunables, uint64_t* shared_load_epoch)
-        : rq(id, tunables, shared_load_epoch) {}
+    Cpu(CpuId id, const SchedTunables* tunables) : rq(id, tunables) {}
 
     CfsRunqueue rq;
     bool need_resched = false;
@@ -312,45 +306,10 @@ class Scheduler {
     }
   };
 
-  // One group-stats memo entry (see group_cache_ below): the cached
-  // aggregate plus a snapshot of everything it depends on, so validity can
-  // be decided per entry instead of flushing the whole cache whenever any
-  // epoch moves.
-  struct GroupCacheEntry {
-    CpuSet cpus;
-    GroupLoadStats stats;
-    Time filled_at = kTimeNever;
-    uint64_t balance_epoch = 0;
-    uint64_t ag_epoch = 0;
-    uint64_t feature_gen = 0;
-    uint64_t topo_epoch = 0;
-    uint64_t imb_epoch = 0;
-    // Exact decay-forward (DESIGN.md §balancing): every member runqueue's
-    // loads were constant from filled_at on, so sum/min stay bit-identical
-    // at later instants while the member versions still match.
-    bool all_const = false;
-    uint64_t member_version_sum = 0;
-  };
-
-  // The stats of `cpus` minus `excluded`, straight from the runqueues.
-  GroupLoadStats ComputeGroupStats(Time now, const CpuSet& cpus, const CpuSet& excluded) const;
-
-  // The group cache accessor: serves `cpus`' stats from group_cache_ when a
-  // live entry exists (GroupEntryLive), refilling the entry otherwise. The
-  // only sanctioned way for balancing code to aggregate per-entity loads;
+  // The stats of `cpus`, folded from the per-cpu RqLoad memo in cpu-id
+  // order. The only sanctioned way for balancing code to aggregate loads;
   // wc-lint rule D6 flags direct per-entity reads in scheduler_balance.cc.
-  // `slot_hint` (SchedGroup::stats_slot) caches the entry index across
-  // passes; pass nullptr to force a key scan.
-  GroupLoadStats GroupStats(Time now, const CpuSet& cpus, int* slot_hint = nullptr);
-
-  // Entry validity at `now`: all epoch snapshots current, and either nothing
-  // anywhere changed since a same-instant fill, or the entry rolls forward
-  // exactly (all_const) and no member runqueue changed membership/weights.
-  bool GroupEntryLive(const GroupCacheEntry& e, Time now) const;
-
-  // Sum of the online members' runqueue load versions. Versions only
-  // increase, so an unchanged sum means no member changed.
-  uint64_t MemberVersionSum(const CpuSet& cpus) const;
+  GroupLoadStats ComputeGroupStats(Time now, const CpuSet& cpus) const;
 
   // Wakeup placement; fills `considered` for the visualization tool.
   CpuId SelectTaskRq(Time now, const SchedEntity& se, CpuId waker_cpu, CpuSet* considered);
@@ -444,16 +403,12 @@ class Scheduler {
 
   // RqLoad memo (see Scheduler::RqLoad), SoA: the last computed load per
   // cpu, valid while the query instant, the runqueue membership version,
-  // the autogroup epoch, and the feature generation all still match — or,
-  // when load_cache_const_ is set, at *any later* instant under the same
-  // version/epochs: every member tracker was constant from load_cache_now_
-  // on (LoadTracker::ConstantFrom), so the cached sum is exactly what a
-  // recomputation would produce. mutable because RqLoad is logically const.
+  // the autogroup epoch, and the feature generation all still match.
+  // mutable because RqLoad is logically const.
   mutable std::vector<Time> load_cache_now_;
   mutable std::vector<uint64_t> load_cache_version_;
   mutable std::vector<uint64_t> load_cache_epoch_;
   mutable std::vector<uint64_t> load_cache_feat_;
-  mutable std::vector<uint8_t> load_cache_const_;
   mutable std::vector<double> load_cache_value_;
 
   // Count of online cpus with nr_running_ >= 2, maintained by the
@@ -503,42 +458,9 @@ class Scheduler {
   // mutation); part of the RqLoad memo key.
   uint64_t ag_epoch_ = 0;
 
-  // Advances whenever any input to GroupLoadStats other than (now, ag_epoch_)
-  // changes: any runqueue membership change (bumped by the runqueues through
-  // their shared_load_epoch pointer), any imbalanced_ flip, and hotplug.
-  uint64_t balance_epoch_ = 0;
-
-  // Finer-grained slices of balance_epoch_, so cross-instant group entries
-  // need not die with every unrelated runqueue change: hotplug (group
-  // membership / n_cpus) and imbalanced_ flips, respectively.
-  uint64_t topo_epoch_ = 0;
-  uint64_t imb_epoch_ = 0;
-
   // Advances on UpdateFeatures: flags feed autogroup divisors (and thereby
-  // every cached load), so the memos key on it.
+  // every cached load), so the RqLoad memo keys on it.
   uint64_t feature_gen_ = 0;
-
-  // Group-stats memo for BalanceDomain, mirroring the RqLoad memo one level
-  // up: groups with identical cpu sets recur across the domain trees of
-  // different cores (every top-level domain lists the same node groups), and
-  // NOHZ balancing walks many trees at one instant. Each entry snapshots all
-  // of its inputs (GroupCacheEntry), so validity is per entry: a same-instant
-  // entry is served while nothing changed, and an all-const entry — every
-  // member load constant from the fill instant on — is served at *later*
-  // instants too, as long as no member runqueue's version moved. That
-  // cross-instant case is what makes caching pay on newidle balancing, where
-  // every pass runs at a fresh instant: the groups the triggering context
-  // switch did not touch roll forward exactly instead of being re-aggregated
-  // per entity. Only stats of the full machine state are cached (balancing
-  // passes with a non-empty excluded set bypass the memo). A flat vector
-  // with linear lookup and one slot per distinct cpu set, not a map: a
-  // machine holds at most a handful of distinct groups, and slot reuse means
-  // steady-state caching allocates nothing. mutable for symmetry with the
-  // RqLoad memo: ValidateGroupCache reads it from const context.
-  mutable std::vector<GroupCacheEntry> group_cache_;
-  // group_cache_[k]'s cpu set, duplicated into a dense vector so the
-  // per-lookup scan stays within a few cache lines (GroupStats).
-  mutable std::vector<CpuSet> group_cache_keys_;
 
   // Scratch for BalanceDomain's per-group stats. Balancing never nests and
   // the scheduler is single-threaded, so one buffer reused across calls
@@ -564,20 +486,9 @@ class Scheduler {
 // and a member tracker's SetState/Advance at the same instant leaves
 // ValueAt(now) unchanged (decay only accrues across instants), so same
 // (now, version, epochs) implies the same sum.
-//
-// Cross-instant: when load_cache_const is set, every member tracker was
-// constant from load_cache_now on (LoadTracker::ConstantFrom), so under an
-// unchanged version the sum at any later instant is the same doubles
-// folded in the same order — serve the cached value. The one tracker
-// mutation without a version bump, Tick's Advance on curr, cannot break
-// this: Advance of a constant tracker lands on avg == 1.0 and preserves
-// constancy, and a non-constant curr at fill time made load_cache_const
-// false to begin with.
 inline double Scheduler::RqLoad(Time now, CpuId cpu) const {
-  if (load_cache_version_[cpu] == load_version_[cpu] && load_cache_epoch_[cpu] == ag_epoch_ &&
-      load_cache_feat_[cpu] == feature_gen_ &&
-      (load_cache_now_[cpu] == now ||
-       (load_cache_const_[cpu] != 0 && now > load_cache_now_[cpu]))) {
+  if (load_cache_now_[cpu] == now && load_cache_version_[cpu] == load_version_[cpu] &&
+      load_cache_epoch_[cpu] == ag_epoch_ && load_cache_feat_[cpu] == feature_gen_) {
     return load_cache_value_[cpu];
   }
   return RqLoadFill(now, cpu);

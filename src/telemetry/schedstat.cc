@@ -1,8 +1,10 @@
 #include "src/telemetry/schedstat.h"
 
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "src/tools/profiler.h"
 
@@ -34,6 +36,55 @@ void AppendScope(std::string* out, const std::string& scope, const LatencyDistri
   AppendLatencyLine(out, scope, "migration", d.migration_cost);
 }
 
+// The whitespace-separated fields of `line`.
+std::vector<std::string> Fields(const std::string& line) {
+  std::istringstream in(line);
+  std::vector<std::string> fields;
+  std::string field;
+  while (in >> field) {
+    fields.push_back(field);
+  }
+  return fields;
+}
+
+// Parses all of `s` as a decimal unsigned integer: digits only (no sign, no
+// whitespace, no trailing characters) and no overflow.
+bool ParseU64(const std::string& s, uint64_t* out) {
+  if (s.empty()) {
+    return false;
+  }
+  uint64_t value = 0;
+  for (char ch : s) {
+    if (ch < '0' || ch > '9') {
+      return false;
+    }
+    const uint64_t digit = static_cast<uint64_t>(ch - '0');
+    if (value > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
+      return false;
+    }
+    value = value * 10 + digit;
+  }
+  *out = value;
+  return true;
+}
+
+// As ParseU64, for a non-negative int.
+bool ParseInt(const std::string& s, int* out) {
+  uint64_t value = 0;
+  if (!ParseU64(s, &value) || value > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+    return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
+}
+
+// Parses all of `s` as a double.
+bool ParseDouble(const std::string& s, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(s.c_str(), &end);
+  return !s.empty() && end == s.c_str() + s.size();
+}
+
 }  // namespace
 
 std::string SchedstatReport(const Scheduler& sched, const LatencyAccountant& lat, Time now) {
@@ -60,8 +111,6 @@ std::string SchedstatReport(const Scheduler& sched, const LatencyAccountant& lat
   AppendCounter(&out, "balance_found_busiest", st.balance_found_busiest);
   AppendCounter(&out, "balance_success", st.balance_success);
   AppendCounter(&out, "balance_moved_tasks", st.balance_moved_tasks);
-  AppendCounter(&out, "balance_group_cache_hits", st.balance_group_cache_hits);
-  AppendCounter(&out, "balance_group_cache_misses", st.balance_group_cache_misses);
   AppendCounter(&out, "migrations_periodic", st.migrations_periodic);
   AppendCounter(&out, "migrations_idle", st.migrations_idle);
   AppendCounter(&out, "migrations_nohz", st.migrations_nohz);
@@ -105,37 +154,43 @@ bool ParseSchedstatReport(const std::string& report, ParsedSchedstat* out) {
   bool have_shape = false;
   while (std::getline(in, line)) {
     if (line.rfind("schedstat version ", 0) == 0) {
-      out->version = std::atoi(line.c_str() + std::strlen("schedstat version "));
+      // The version is the third field; prose may follow it.
+      std::vector<std::string> f = Fields(line);
+      if (f.size() < 3 || !ParseInt(f[2], &out->version)) {
+        return false;
+      }
       have_header = true;
     } else if (line.rfind("timestamp_ns ", 0) == 0) {
-      out->timestamp = std::strtoull(line.c_str() + std::strlen("timestamp_ns "), nullptr, 10);
+      std::vector<std::string> f = Fields(line);
+      if (f.size() != 2 || !ParseU64(f[1], &out->timestamp)) {
+        return false;
+      }
     } else if (line.rfind("cpus ", 0) == 0) {
-      if (std::sscanf(line.c_str(), "cpus %d nodes %d online %d", &out->cpus, &out->nodes,
-                      &out->online) != 3) {
+      std::vector<std::string> f = Fields(line);
+      if (f.size() != 6 || f[2] != "nodes" || f[4] != "online" || !ParseInt(f[1], &out->cpus) ||
+          !ParseInt(f[3], &out->nodes) || !ParseInt(f[5], &out->online)) {
         return false;
       }
       have_shape = true;
     } else if (line.rfind("counter ", 0) == 0) {
-      char name[64];
-      unsigned long long value = 0;
-      if (std::sscanf(line.c_str(), "counter %63s %llu", name, &value) != 2) {
+      std::vector<std::string> f = Fields(line);
+      uint64_t value = 0;
+      if (f.size() != 3 || !ParseU64(f[2], &value)) {
         return false;
       }
-      out->counters[name] = value;
+      out->counters[f[1]] = value;
     } else if (line.rfind("lat ", 0) == 0) {
       if (line.rfind("lat scope ", 0) == 0) {
         continue;  // Column-header line.
       }
-      char scope[32];
-      char metric[32];
-      unsigned long long count = 0;
+      std::vector<std::string> f = Fields(line);
       ParsedSchedstat::LatencyLine ll;
-      if (std::sscanf(line.c_str(), "lat %31s %31s %llu %lf %lf %lf %lf", scope, metric, &count,
-                      &ll.p50_us, &ll.p95_us, &ll.p99_us, &ll.max_us) != 7) {
+      if (f.size() != 8 || !ParseU64(f[3], &ll.count) || !ParseDouble(f[4], &ll.p50_us) ||
+          !ParseDouble(f[5], &ll.p95_us) || !ParseDouble(f[6], &ll.p99_us) ||
+          !ParseDouble(f[7], &ll.max_us)) {
         return false;
       }
-      ll.count = count;
-      out->latencies[std::string(scope) + " " + metric] = ll;
+      out->latencies[f[1] + " " + f[2]] = ll;
     }
     // Prose sections (verdict table, cpustate) are informational; cpustate
     // lines are left to ad-hoc consumers.

@@ -51,9 +51,11 @@ struct ParsedSchedstat {
   std::map<std::string, LatencyLine> latencies;
 };
 
-// Parses a report back. Returns false on malformed input (missing header,
-// malformed lat/counter lines). Prose sections (the verdict table) are
-// skipped, not parsed.
+// Parses a report back. Returns false on malformed input: a missing header,
+// a malformed shape/lat/counter line, or an integer field that is not a
+// whole unsigned decimal (a sign, trailing text or overflow is rejected, not
+// wrapped or truncated). Prose sections (the verdict table) are skipped, not
+// parsed.
 bool ParseSchedstatReport(const std::string& report, ParsedSchedstat* out);
 
 }  // namespace wcores

@@ -13,7 +13,7 @@ const std::vector<RuleInfo>& RuleCatalog() {
       {"D3", "nondeterminism source outside the seeded-RNG / host-timing seams"},
       {"D4", "floating-point == / != comparison in scheduler decision code"},
       {"D5", "std::function in a designated hot-path file (type-erasure overhead)"},
-      {"D6", "per-entity decayed-load read in balancing code (bypasses the group-stats cache)"},
+      {"D6", "per-entity decayed-load read in balancing code (bypasses the RqLoad memo)"},
       {"D7", "unbounded container growth (push_back/emplace_back) in bounded-memory code"},
   };
   return kRules;
@@ -326,8 +326,8 @@ class Scanner {
 
   // D6: a call to one of the per-entity decayed-load accessors. Scoped by
   // policy to balancing code, where every load the balancer folds into a
-  // group comparison must come through Scheduler::RqLoad / GroupStats so the
-  // decay-forward memo stays the single source of truth. A direct
+  // group comparison must come through Scheduler::RqLoad so the per-cpu load
+  // memo stays the single source of truth. A direct
   // tracker.ValueAt(now) / CfsRunqueue::EntityLoad(...) there re-decays one
   // entity outside the cache: cheap-looking, O(entities) in aggregate, and a
   // bit-exactness hazard the moment its fold order diverges from LoadAt's.
@@ -345,8 +345,8 @@ class Scanner {
       return;
     }
     Report("D6", t->line,
-           name + "() in balancing code bypasses the group-stats cache: group aggregates must "
-                  "come from Scheduler::RqLoad / GroupStats so the decay-forward memo stays "
+           name + "() in balancing code bypasses the RqLoad memo: group aggregates must "
+                  "come from Scheduler::RqLoad so the per-cpu load memo stays "
                   "authoritative (per-entity reads re-decay outside it and can diverge from the "
                   "cached fold)");
   }

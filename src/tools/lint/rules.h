@@ -19,8 +19,8 @@
 //       the ROADMAP inline-callback item as a finding, not a failure.
 //   D6  per-entity decayed-load reads (ValueAt / EntityLoad / LoadAt /
 //       RqLoadRecomputed calls) in balancing code (policy-scoped): the
-//       balancer must read group aggregates through the decay-forward memo
-//       (Scheduler::RqLoad / GroupStats), never re-decay entities itself.
+//       balancer must read group aggregates through the per-cpu load memo
+//       (Scheduler::RqLoad), never re-decay entities itself.
 //   D7  .push_back( / .emplace_back( member calls in bounded-memory code
 //       (policy-scoped to the streaming telemetry pipeline): unannotated
 //       container growth is how an O(tasks+cpus) analyzer quietly becomes

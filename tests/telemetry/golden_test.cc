@@ -64,6 +64,27 @@ TEST(SchedstatGolden, RejectsMalformedReports) {
   EXPECT_FALSE(ParseSchedstatReport(ReadFixture("schedstat_malformed_counter.txt"), &parsed));
   EXPECT_FALSE(ParseSchedstatReport(ReadFixture("schedstat_malformed_lat.txt"), &parsed));
   EXPECT_FALSE(ParseSchedstatReport(ReadFixture("schedstat_missing_header.txt"), &parsed));
+  EXPECT_FALSE(ParseSchedstatReport(ReadFixture("schedstat_bad_version.txt"), &parsed));
+  EXPECT_FALSE(ParseSchedstatReport(ReadFixture("schedstat_negative_counter.txt"), &parsed));
+
+  // Numeric fields parse whole and checked: a sign or a non-digit never
+  // wraps around to a huge unsigned value or collapses to 0.
+  const std::string good = ReadFixture("schedstat_good.txt");
+  auto with = [&good](const std::string& from, const std::string& to) {
+    std::string report = good;
+    size_t at = report.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return report.replace(at, from.size(), to);
+  };
+  EXPECT_FALSE(ParseSchedstatReport(with("timestamp_ns 2000000000", "timestamp_ns -1"), &parsed));
+  EXPECT_FALSE(ParseSchedstatReport(with("timestamp_ns 2000000000", "timestamp_ns 2e9"), &parsed));
+  EXPECT_FALSE(ParseSchedstatReport(with("cpus 2 nodes", "cpus -2 nodes"), &parsed));
+  EXPECT_FALSE(ParseSchedstatReport(with("nodes 1 online", "nodes -1 online"), &parsed));
+  EXPECT_FALSE(ParseSchedstatReport(with("online 2\n", "online -2\n"), &parsed));
+  EXPECT_FALSE(ParseSchedstatReport(with("counter ticks 500", "counter ticks 5x"), &parsed));
+  EXPECT_FALSE(ParseSchedstatReport(
+      with("counter ticks 500", "counter ticks 99999999999999999999"), &parsed));
+  EXPECT_FALSE(ParseSchedstatReport(with("lat cpu0 wakeup 100", "lat cpu0 wakeup -100"), &parsed));
 }
 
 TEST(ChromeTraceGolden, AcceptsGoodTrace) {

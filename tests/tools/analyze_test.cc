@@ -602,7 +602,7 @@ TEST(AnalyzeSelfApplication, InjectedBackdoorPolicyIsFlagged) {
      public:
       CpuId SelectWakeCpu(Time now, Scheduler* sched, ThreadId tid, CpuId prev) {
         sched->IdleBalance(now, prev);
-        return static_cast<CpuId>(sched->group_cache_.size());
+        return static_cast<CpuId>(sched->wheel_.size());
       }
     };
     }  // namespace wcores
@@ -615,7 +615,7 @@ TEST(AnalyzeSelfApplication, InjectedBackdoorPolicyIsFlagged) {
   EXPECT_TRUE(HasFinding(r, "A3", "injected/backdoor_policy.cc",
                          "mechanism member Scheduler::IdleBalance"));
   EXPECT_TRUE(HasFinding(r, "A3", "injected/backdoor_policy.cc",
-                         "mechanism field Scheduler::group_cache_"));
+                         "mechanism field Scheduler::wheel_"));
   // The real policies stay clean even with the backdoor in the table.
   for (const Finding& f : r.findings) {
     if (f.rule == "A3") {
