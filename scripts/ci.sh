@@ -17,7 +17,9 @@
 #   3. tsan    - build the TSan configuration and run the determinism layer
 #                (golden hashes + sweep thread-count invariance) under it, so
 #                the parallel sweep runner's "same report at -j1/-j2/-j4"
-#                claim is also a "no data races" claim.
+#                claim is also a "no data races" claim. The FleetShard tests
+#                ride along: their two-worker RunShard calls share one
+#                resume index and receipt stream under a mutex.
 #   4. bench   - smoke-run the Release bench binaries with a tiny budget
 #                (one benchmark repetition, a scaled-down sweep) into out/,
 #                so the perf harness itself cannot bit-rot between perf PRs.
@@ -103,9 +105,11 @@ echo "==== [tsan] configure ===="
 cmake --preset tsan
 echo "==== [tsan] build ===="
 cmake --build --preset tsan -j "$JOBS"
-echo "==== [tsan] test (Determinism.*) ===="
+echo "==== [tsan] test (Determinism.*, FleetShard.*) ===="
 # The test preset filters to the determinism layer: golden trace hashes plus
-# SweepThreadCountInvariance, which exercises RunSweep at 1/2/4 threads.
+# SweepThreadCountInvariance, which exercises RunSweep at 1/2/4 threads; and
+# to the FleetShard tests, which run RunShard with two worker threads and
+# two concurrent shards in one process.
 ctest --preset tsan -j "$JOBS"
 
 echo "==== [bench] smoke (tiny budget, Release) ===="

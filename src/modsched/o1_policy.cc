@@ -1,7 +1,5 @@
 #include "src/modsched/o1_policy.h"
 
-#include <algorithm>
-
 #include "src/core/scheduler.h"
 #include "src/simkit/check.h"
 
@@ -16,23 +14,6 @@ int O1Policy::PrioArray::FirstSet() const {
   return -1;
 }
 
-void O1Policy::PrioArray::Push(int prio, ThreadId tid) {
-  queues[prio].push_back(tid);
-  bitmap[prio / 64] |= uint64_t{1} << (prio % 64);
-  count += 1;
-}
-
-void O1Policy::PrioArray::Remove(int prio, ThreadId tid) {
-  std::deque<ThreadId>& q = queues[prio];
-  auto it = std::find(q.begin(), q.end(), tid);
-  WC_CHECK(it != q.end(), "o1: task not in its recorded priority queue");
-  q.erase(it);
-  if (q.empty()) {
-    bitmap[prio / 64] &= ~(uint64_t{1} << (prio % 64));
-  }
-  count -= 1;
-}
-
 void O1Policy::Attach(Scheduler* sched) {
   SchedPolicy::Attach(sched);
   cpus_.assign(static_cast<size_t>(sched->topology().n_cores()), CpuState{});
@@ -43,6 +24,40 @@ O1Policy::TaskState& O1Policy::StateOf(ThreadId tid) {
     tasks_.emplace_back();
   }
   return tasks_[tid];
+}
+
+void O1Policy::Push(PrioArray& a, int prio, ThreadId tid) {
+  TaskState& ts = tasks_[tid];
+  ts.prev = a.tail[prio];
+  ts.next = kInvalidThread;
+  if (ts.prev == kInvalidThread) {
+    a.head[prio] = tid;
+  } else {
+    tasks_[ts.prev].next = tid;
+  }
+  a.tail[prio] = tid;
+  a.bitmap[prio / 64] |= uint64_t{1} << (prio % 64);
+  a.count += 1;
+}
+
+void O1Policy::Remove(PrioArray& a, int prio, ThreadId tid) {
+  TaskState& ts = tasks_[tid];
+  if (ts.prev == kInvalidThread) {
+    WC_CHECK(a.head[prio] == tid, "o1: task not in its recorded priority queue");
+    a.head[prio] = ts.next;
+  } else {
+    tasks_[ts.prev].next = ts.next;
+  }
+  if (ts.next == kInvalidThread) {
+    WC_CHECK(a.tail[prio] == tid, "o1: task not in its recorded priority queue");
+    a.tail[prio] = ts.prev;
+  } else {
+    tasks_[ts.next].prev = ts.prev;
+  }
+  if (a.head[prio] == kInvalidThread) {
+    a.bitmap[prio / 64] &= ~(uint64_t{1} << (prio % 64));
+  }
+  a.count -= 1;
 }
 
 Time O1Policy::TimesliceOf(int prio) const {
@@ -82,7 +97,7 @@ SchedEntity* O1Policy::PickNextEntity(Time now, CpuId cpu) {
   }
   int prio = act->FirstSet();
   WC_CHECK(prio >= 0, "o1: non-empty array with empty bitmap");
-  return &sched_->MutableEntity(act->queues[prio].front());
+  return &sched_->MutableEntity(act->head[prio]);
 }
 
 bool O1Policy::TickPreempt(Time now, CpuId cpu) {
@@ -135,7 +150,7 @@ void O1Policy::OnRqEnqueue(Time now, CpuId cpu, SchedEntity* se,
     ts.used = 0;
     ts.expire_next = false;
   }
-  cs.arrays[arr].Push(prio, se->tid);
+  Push(cs.arrays[arr], prio, se->tid);
   ts.array = static_cast<uint8_t>(arr);
   ts.prio = static_cast<uint8_t>(prio);
   ts.queued = true;
@@ -145,7 +160,7 @@ void O1Policy::OnRqDequeue(Time now, CpuId cpu, SchedEntity* se) {
   (void)now;
   TaskState& ts = StateOf(se->tid);
   WC_CHECK(ts.queued, "o1: dequeue of task not in the arrays");
-  cpus_[cpu].arrays[ts.array].Remove(ts.prio, se->tid);
+  Remove(cpus_[cpu].arrays[ts.array], ts.prio, se->tid);
   ts.queued = false;
 }
 
@@ -158,9 +173,10 @@ void O1Policy::OnRqReweight(Time now, CpuId cpu, SchedEntity* se, int old_nice) 
   (void)old_nice;
   TaskState& ts = StateOf(se->tid);
   WC_CHECK(ts.queued, "o1: reweight of task not in the arrays");
-  cpus_[cpu].arrays[ts.array].Remove(ts.prio, se->tid);
+  PrioArray& a = cpus_[cpu].arrays[ts.array];
+  Remove(a, ts.prio, se->tid);
   int prio = PrioOf(se->nice);
-  cpus_[cpu].arrays[ts.array].Push(prio, se->tid);
+  Push(a, prio, se->tid);
   ts.prio = static_cast<uint8_t>(prio);
 }
 
@@ -171,14 +187,32 @@ int O1Policy::QueuedInArrays(CpuId cpu) const {
 
 bool O1Policy::ValidateArrays(CpuId cpu) const {
   const CpuState& cs = cpus_[cpu];
-  for (const PrioArray& a : cs.arrays) {
+  const ThreadId n_tasks = static_cast<ThreadId>(tasks_.size());
+  for (int arr = 0; arr < 2; ++arr) {
+    const PrioArray& a = cs.arrays[arr];
     int count = 0;
     for (int p = 0; p < kLevels; ++p) {
       bool bit = (a.bitmap[p / 64] >> (p % 64)) & 1;
-      if (bit != !a.queues[p].empty()) {
+      if (bit != (a.head[p] != kInvalidThread) || bit != (a.tail[p] != kInvalidThread)) {
         return false;
       }
-      count += static_cast<int>(a.queues[p].size());
+      ThreadId prev = kInvalidThread;
+      for (ThreadId t = a.head[p]; t != kInvalidThread; t = tasks_[t].next) {
+        if (t < 0 || t >= n_tasks || count >= n_tasks) {
+          return false;  // Dangling link, or a cycle.
+        }
+        const TaskState& ts = tasks_[t];
+        const SchedEntity& se = sched_->Entity(t);
+        if (ts.prev != prev || !ts.queued || ts.array != arr || ts.prio != p ||
+            se.cpu != cpu || !se.on_rq || se.running) {
+          return false;
+        }
+        count += 1;
+        prev = t;
+      }
+      if (prev != a.tail[p]) {
+        return false;
+      }
     }
     if (count != a.count) {
       return false;

@@ -25,6 +25,13 @@
 // Real-time levels 0..99 exist in the arrays but are never populated (the
 // simulator has no RT class); keeping all 140 levels preserves the original
 // bitmap layout (three 64-bit words).
+//
+// The FIFO queues are intrusive, as 2.6.8's `struct list_head
+// queue[MAX_PRIO]` was: each level holds only a head and a tail tid, and the
+// next/prev links live in the task's own state. Enqueue, dequeue from any
+// position and requeue are O(1), and an array is a flat block with no heap
+// storage per level, so building the policy for a machine costs one
+// allocation for all of its cpus.
 #ifndef SRC_MODSCHED_O1_POLICY_H_
 #define SRC_MODSCHED_O1_POLICY_H_
 
@@ -62,19 +69,25 @@ class O1Policy : public SchedPolicy {
   // shrinking linearly to 5 ms at the lowest (nice +19).
   Time TimesliceOf(int prio) const;
 
-  // Introspection for tests.
+  // Introspection for tests. ValidateArrays walks every level of both of
+  // the cpu's arrays: link symmetry, head/tail ends, bitmap and count, and
+  // that each linked task is queued on this cpu, off-cpu, and filed under
+  // the array and level it records.
   int QueuedInArrays(CpuId cpu) const;
   bool ValidateArrays(CpuId cpu) const;
 
  private:
   struct PrioArray {
+    PrioArray() {
+      head.fill(kInvalidThread);
+      tail.fill(kInvalidThread);
+    }
     std::array<uint64_t, 3> bitmap{};
-    std::array<std::deque<ThreadId>, kLevels> queues;
+    std::array<ThreadId, kLevels> head;  // kInvalidThread: level empty.
+    std::array<ThreadId, kLevels> tail;
     int count = 0;
 
     int FirstSet() const;
-    void Push(int prio, ThreadId tid);
-    void Remove(int prio, ThreadId tid);
   };
   struct CpuState {
     PrioArray arrays[2];
@@ -82,6 +95,8 @@ class O1Policy : public SchedPolicy {
   };
   struct TaskState {
     Time used = 0;            // Runtime consumed in the current slice round.
+    ThreadId next = kInvalidThread;  // FIFO neighbours within its level.
+    ThreadId prev = kInvalidThread;
     bool expire_next = false;  // Tick verdict: demote to expired on put-prev.
     uint8_t array = 0;         // Which array of its cpu it is filed in.
     uint8_t prio = 0;
@@ -89,6 +104,10 @@ class O1Policy : public SchedPolicy {
   };
 
   TaskState& StateOf(ThreadId tid);
+  // Links `tid` (whose state exists) at the tail of level `prio`.
+  void Push(PrioArray& a, int prio, ThreadId tid);
+  // Unlinks `tid` from level `prio`, wherever it sits in the FIFO.
+  void Remove(PrioArray& a, int prio, ThreadId tid);
 
   std::vector<CpuState> cpus_;
   std::deque<TaskState> tasks_;  // Indexed by tid, grown on first sight.

@@ -21,6 +21,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "src/telemetry/chrome_trace.h"
+
 namespace wcores {
 
 // "quoted" JSON string with the mandatory escapes.
@@ -96,6 +98,44 @@ inline bool ParseHex16(const std::string& s, uint64_t* out) {
   }
   *out = v;
   return true;
+}
+
+// Why a JSON field is not an exact unsigned integer (GetJsonUint).
+enum class JsonUintError { kNone, kMissing, kNegative, kFractional, kTooLarge };
+
+inline const char* JsonUintErrorText(JsonUintError e) {
+  switch (e) {
+    case JsonUintError::kNone: return "ok";
+    case JsonUintError::kMissing: return "missing or not a number";
+    case JsonUintError::kNegative: return "negative";
+    case JsonUintError::kFractional: return "not an integer";
+    case JsonUintError::kTooLarge: return "above 2^53 - 1";
+  }
+  return "invalid";
+}
+
+// Reads member `key` of a parsed object as an unsigned integer. JSON numbers
+// are doubles: every integer up to 2^53 - 1 parses exactly, but 2^53 + 1
+// parses to 2^53, so from 2^53 up a value may not be the one written. A
+// negative (even -0), fractional or larger value is refused rather than
+// cast, because the cast truncates silently and, past 2^64, is undefined.
+inline JsonUintError GetJsonUint(const JsonValue& obj, const char* key, uint64_t* out) {
+  constexpr double kMaxExact = 9007199254740991.0;  // 2^53 - 1.
+  const JsonValue* v = obj.Find(key);
+  if (v == nullptr || v->type != JsonValue::Type::kNumber) {
+    return JsonUintError::kMissing;
+  }
+  if (std::signbit(v->number)) {
+    return JsonUintError::kNegative;
+  }
+  if (!(v->number == std::floor(v->number))) {
+    return JsonUintError::kFractional;
+  }
+  if (v->number > kMaxExact) {
+    return JsonUintError::kTooLarge;
+  }
+  *out = static_cast<uint64_t>(v->number);
+  return JsonUintError::kNone;
 }
 
 }  // namespace wcores

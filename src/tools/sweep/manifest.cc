@@ -51,12 +51,7 @@ bool GetString(const JsonValue& obj, const char* key, std::string* out) {
 }
 
 bool GetU64Number(const JsonValue& obj, const char* key, uint64_t* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || v->type != JsonValue::Type::kNumber || v->number < 0) {
-    return false;
-  }
-  *out = static_cast<uint64_t>(v->number);
-  return true;
+  return GetJsonUint(obj, key, out) == JsonUintError::kNone;
 }
 
 bool GetDouble(const JsonValue& obj, const char* key, double* out) {

@@ -7,7 +7,6 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -42,49 +41,6 @@ void ReleaseClaim(int fd) {
     ::close(fd);  // Drops the flock.
   }
 }
-
-// Receipt-store view for resume decisions, rebuilt from disk on demand.
-struct DoneIndex {
-  // name -> receipts (all fingerprints, all shards).
-  std::map<std::string, std::vector<Receipt>> by_name;
-
-  static DoneIndex Load(const std::string& dir) {
-    DoneIndex index;
-    ResultsStore store;
-    std::string error;
-    bool ok = LoadResultsStore(dir, &store, &error);
-    WC_CHECK(ok, "shard runner cannot read its own results store");
-    for (Receipt& r : store.receipts) {
-      index.by_name[r.name].push_back(std::move(r));
-    }
-    return index;
-  }
-
-  // DONE iff >=1 fingerprint-matching receipt and all such receipts agree
-  // on the determinism pair. `had_receipts` reports whether any receipt —
-  // matching or stale — existed for the name (requeue accounting).
-  bool Done(const std::string& name, uint64_t fingerprint, bool* had_receipts) const {
-    auto it = by_name.find(name);
-    if (it == by_name.end()) {
-      *had_receipts = false;
-      return false;
-    }
-    *had_receipts = true;
-    const Receipt* first_match = nullptr;
-    for (const Receipt& r : it->second) {
-      if (r.fingerprint != fingerprint) {
-        continue;  // Stale: the grid definition changed under the store.
-      }
-      if (first_match == nullptr) {
-        first_match = &r;
-      } else if (r.trace_hash != first_match->trace_hash ||
-                 r.trace_events != first_match->trace_events) {
-        return false;  // Conflicting receipts: force re-execution.
-      }
-    }
-    return first_match != nullptr;
-  }
-};
 
 }  // namespace
 
@@ -140,10 +96,14 @@ ShardReport RunShard(const std::vector<Scenario>& manifest, const ShardOptions& 
     fingerprints[i] = ScenarioFingerprint(manifest[i]);
   }
 
-  // Startup resume scan, shared read-only by all workers. Post-claim
-  // rechecks load fresh copies (one per scenario actually run, so the
-  // rescan cost is proportional to fresh work, not manifest size).
-  DoneIndex startup = DoneIndex::Load(options.results_dir);
+  // One resume index for the whole run: the startup scan reads the store
+  // once, and each post-claim recheck reads only what was appended since,
+  // so the run parses each receipt line about once however large the
+  // manifest (report.receipts_parsed counts them).
+  ReceiptIndex index(options.results_dir);
+  std::string index_error;
+  bool index_ok = index.Refresh(&index_error);
+  WC_CHECK(index_ok, "shard runner cannot read its own results store");
 
   // Claim order: our own stripe first, then everyone else's (stealing).
   std::vector<size_t> order;
@@ -162,7 +122,7 @@ ShardReport RunShard(const std::vector<Scenario>& manifest, const ShardOptions& 
   }
 
   std::atomic<size_t> cursor{0};
-  std::mutex io_mutex;  // Guards receipts_out, the report counters, and rescans.
+  std::mutex io_mutex;  // Guards receipts_out, the report counters, and the index.
 
   auto worker = [&]() {
     for (;;) {
@@ -175,10 +135,12 @@ ShardReport RunShard(const std::vector<Scenario>& manifest, const ShardOptions& 
       uint64_t fingerprint = fingerprints[i];
 
       bool had_receipts = false;
-      if (startup.Done(s.name, fingerprint, &had_receipts)) {
+      {
         std::lock_guard<std::mutex> lock(io_mutex);
-        report.skipped++;
-        continue;
+        if (index.Done(s.name, fingerprint, &had_receipts)) {
+          report.skipped++;
+          continue;
+        }
       }
       int claim_fd = TryClaim(claims_dir, fingerprint);
       if (claim_fd < 0) {
@@ -188,13 +150,14 @@ ShardReport RunShard(const std::vector<Scenario>& manifest, const ShardOptions& 
         report.contended++;
         continue;
       }
-      // Between our startup scan and this claim another shard may have
-      // finished and released; recheck against a fresh store before paying
+      // Between our last look at the store and this claim another shard
+      // may have finished and released; catch up on the store before paying
       // for the run.
       {
         std::lock_guard<std::mutex> lock(io_mutex);
-        DoneIndex fresh = DoneIndex::Load(options.results_dir);
-        if (fresh.Done(s.name, fingerprint, &had_receipts)) {
+        bool refreshed = index.Refresh(&index_error);
+        WC_CHECK(refreshed, "shard runner cannot read its own results store");
+        if (index.Done(s.name, fingerprint, &had_receipts)) {
           report.skipped++;
           ReleaseClaim(claim_fd);
           continue;
@@ -237,6 +200,7 @@ ShardReport RunShard(const std::vector<Scenario>& manifest, const ShardOptions& 
       t.join();
     }
   }
+  report.receipts_parsed = index.lines_parsed();
   return report;
 }
 

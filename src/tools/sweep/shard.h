@@ -16,11 +16,14 @@
 //    cross-process appends never interleave; in-process worker threads
 //    serialize on a mutex.
 //
-//  - RESUME: at startup the runner loads every shard's receipts and skips
-//    scenarios that are already DONE (fingerprint match + consistent
-//    hashes; see receipts.h). After winning a claim it reloads the store
-//    once more, closing the window where another shard finished the
-//    scenario between our startup scan and our claim.
+//  - RESUME: one ReceiptIndex (receipts.h) per run reads every shard's
+//    receipts at startup, and the runner skips scenarios that are already
+//    DONE (fingerprint match + consistent hashes). After winning a claim it
+//    refreshes the index, which reads only the bytes appended to the store
+//    since the last look, closing the window where another shard finished
+//    the scenario between our last look and our claim. The whole run
+//    parses each receipt line about once, so resume cost is linear in the
+//    store, not quadratic in the manifest.
 //
 //  - STRIPING: shard I claims indices congruent to I mod N first, then
 //    sweeps everyone else's stripe. Disjoint stripes mean near-zero claim
@@ -34,6 +37,7 @@
 #ifndef SRC_TOOLS_SWEEP_SHARD_H_
 #define SRC_TOOLS_SWEEP_SHARD_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -50,9 +54,10 @@ struct ShardOptions {
 
 struct ShardReport {
   int ran = 0;        // Scenarios this call executed and receipted.
-  int skipped = 0;    // Already DONE in the store at startup.
+  int skipped = 0;    // Already DONE in the store when reached; not run.
   int contended = 0;  // Claim held by a live process; left to them.
   int requeued = 0;   // Stale fingerprint or conflicting receipts: re-ran.
+  uint64_t receipts_parsed = 0;  // Receipt lines the resume index parsed.
   double wall_ms_total = 0;  // Sum of per-scenario host times (fresh runs).
   std::string receipts_path;
 };

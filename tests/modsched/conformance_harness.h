@@ -18,6 +18,9 @@
 //    recomputation, bit for bit.
 //  * Runqueue structure (red-black invariants, weight accounting) and the
 //    incremental idle index vs. a linear-scan oracle.
+//  * Policy-private mirrors — under o1, each cpu's intrusive priority
+//    arrays pass ValidateArrays and hold exactly the cpu's queued, not
+//    running, entities.
 //  * Sanity-checker parity — Algorithm 2's CheckOnce fires iff an
 //    independent scan finds an idle core next to a stealable backlog. (How
 //    *often* it fires is the policy's business — COREIDLE packs on purpose —
@@ -35,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "src/modsched/o1_policy.h"
 #include "src/modsched/policy_registry.h"
 #include "src/sim/simulator.h"
 #include "src/simkit/rng.h"
@@ -133,6 +137,7 @@ class PolicyInvariantChecker {
     const Scheduler& sched = sim_->sched();
     const Time now = sim_->Now();
     const int n_cores = sim_->topo().n_cores();
+    const auto* o1 = dynamic_cast<const O1Policy*>(sched.policy());
 
     // Census, classified from the entity side.
     std::vector<int> on_rq_count(n_cores, 0);
@@ -166,6 +171,11 @@ class PolicyInvariantChecker {
       ASSERT_EQ(running_count[cpu], curr != kInvalidThread ? 1 : 0) << "cpu " << cpu;
 
       ASSERT_TRUE(sched.ValidateRq(cpu)) << "cpu " << cpu << " rq invariants broken at t=" << now;
+      if (o1 != nullptr) {
+        ASSERT_TRUE(o1->ValidateArrays(cpu)) << "cpu " << cpu << " o1 arrays broken at t=" << now;
+        ASSERT_EQ(o1->QueuedInArrays(cpu), sched.NrRunning(cpu) - (curr != kInvalidThread ? 1 : 0))
+            << "cpu " << cpu << ": o1 arrays disagree with the runqueue at t=" << now;
+      }
 
       Time mv = sched.MinVruntime(cpu);
       ASSERT_GE(mv, last_min_vruntime_[cpu]) << "cpu " << cpu << " min_vruntime went backwards";

@@ -1,11 +1,13 @@
 // Fleet sweep service tests: grid expansion, manifest round-trip, receipt
-// stores, resume semantics (truncated tails, stale fingerprints, conflicting
-// receipts), sharded execution equivalence, and the wc-trend merge/diff
-// contracts. The cross-process kill/resume path is exercised by ci.sh stage
+// stores, the incremental resume index (differentially against a fresh
+// load, WC_FUZZ_SEED-reproducible), resume semantics (truncated tails,
+// stale fingerprints, conflicting receipts), sharded execution equivalence,
+// and the wc-trend merge/diff contracts. The cross-process kill/resume path is exercised by ci.sh stage
 // "fleet"; everything here is in-process so it runs under ctest -j.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -14,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/simkit/rng.h"
 #include "src/tools/sweep/grid.h"
 #include "src/tools/sweep/manifest.h"
 #include "src/tools/sweep/receipts.h"
@@ -161,6 +164,39 @@ TEST(FleetManifest, LoaderRejectsTamperedLine) {
   EXPECT_NE(error.find("fingerprint"), std::string::npos) << error;
 }
 
+// JSON numbers are doubles; integer fields must be exact. 1.5 used to be
+// truncated, 1e30 cast with undefined behaviour, 2^53 + 1 silently rounded
+// to 2^53, and -0 read as 0.
+const char* const kInexactCounts[] = {"1e30", "1.5", "9007199254740993", "-0"};
+
+TEST(FleetManifest, LoaderRejectsInexactCounts) {
+  std::vector<Scenario> scenarios = ExpandGrid(TinyGrid());
+  std::string line = ScenarioToJsonLine(scenarios[0]);
+  const std::string field = "\"mix_threads\": 4";
+  size_t pos = line.find(field);
+  ASSERT_NE(pos, std::string::npos);
+  for (const char* bad : kInexactCounts) {
+    std::string doctored = line;
+    doctored.replace(pos, field.size(), std::string("\"mix_threads\": ") + bad);
+    Scenario s;
+    std::string error;
+    EXPECT_FALSE(ScenarioFromJsonLine(doctored, &s, &error)) << bad;
+    EXPECT_NE(error.find("'mix_threads'"), std::string::npos) << bad << ": " << error;
+  }
+  std::string path = TempPath("inexact_header.jsonl");
+  WriteManifest(path, scenarios);
+  std::string content = ReadAll(path);
+  std::string count = "\"count\": " + std::to_string(scenarios.size());
+  size_t count_pos = content.find(count);
+  ASSERT_NE(count_pos, std::string::npos);
+  content.replace(count_pos, count.size(), "\"count\": 4.5");
+  WriteAll(path, content);
+  Manifest loaded;
+  std::string error;
+  EXPECT_FALSE(LoadManifest(path, &loaded, &error));
+  EXPECT_NE(error.find("count"), std::string::npos) << error;
+}
+
 TEST(FleetManifest, LoaderRejectsDuplicateNames) {
   std::vector<Scenario> scenarios = ExpandGrid(TinyGrid());
   std::string path = TempPath("dup.jsonl");
@@ -226,6 +262,34 @@ TEST(FleetReceipts, RoundTrip) {
   EXPECT_EQ(canon.wall_ms, 0);
 }
 
+TEST(FleetReceipts, RejectsInexactCounts) {
+  std::string line = ReceiptLine(MakeReceipt("grid/a", 1, 10));
+  for (const char* field : {"trace_events", "migrations", "all_exited"}) {
+    std::string key = std::string("\"") + field + "\": ";
+    size_t pos = line.find(key);
+    ASSERT_NE(pos, std::string::npos) << field;
+    size_t end = line.find(',', pos);
+    for (const char* bad : kInexactCounts) {
+      std::string doctored = line;
+      doctored.replace(pos, end - pos, key + bad);
+      Receipt r;
+      std::string error;
+      EXPECT_FALSE(ParseReceiptLine(doctored, &r, &error)) << field << "=" << bad;
+      EXPECT_NE(error.find(field), std::string::npos) << error;
+    }
+  }
+  // The largest exact integer still reads back.
+  std::string max_exact = line;
+  size_t pos = max_exact.find("\"sim_events\": 7");
+  ASSERT_NE(pos, std::string::npos);
+  max_exact.replace(pos, std::string("\"sim_events\": 7").size(),
+                    "\"sim_events\": 9007199254740991");
+  Receipt r;
+  std::string error;
+  ASSERT_TRUE(ParseReceiptLine(max_exact, &r, &error)) << error;
+  EXPECT_EQ(r.sim_events, 9007199254740991ull);
+}
+
 TEST(FleetReceipts, TruncatedTrailingLineIsTolerated) {
   std::string dir = TempPath("store_trunc");
   std::filesystem::create_directories(dir);
@@ -268,6 +332,165 @@ TEST(FleetReceipts, CleanPrefixStopsBeforeDirtyTail) {
   EXPECT_EQ(CleanReceiptPrefixBytes(good + good.substr(0, 12)), good.size());
   EXPECT_EQ(CleanReceiptPrefixBytes("{half"), 0u);
   EXPECT_EQ(CleanReceiptPrefixBytes(""), 0u);
+}
+
+// ---- Incremental resume index ----------------------------------------------
+
+uint64_t FuzzSeed() {
+  const char* env = std::getenv("WC_FUZZ_SEED");
+  if (env != nullptr && *env != '\0') {
+    return std::strtoull(env, nullptr, 0);
+  }
+  return 20261017ULL;
+}
+
+// The DONE rule of receipts.h applied to a freshly loaded store: the oracle
+// ReceiptIndex must agree with after every store mutation.
+bool StoreDone(const ResultsStore& store, const std::string& name, uint64_t fingerprint,
+               bool* had_receipts) {
+  *had_receipts = false;
+  const Receipt* first_match = nullptr;
+  bool conflict = false;
+  for (const Receipt& r : store.receipts) {
+    if (r.name != name) {
+      continue;
+    }
+    *had_receipts = true;
+    if (r.fingerprint != fingerprint) {
+      continue;
+    }
+    if (first_match == nullptr) {
+      first_match = &r;
+    } else if (r.trace_hash != first_match->trace_hash ||
+               r.trace_events != first_match->trace_events) {
+      conflict = true;
+    }
+  }
+  return first_match != nullptr && !conflict;
+}
+
+// Drives a results store through every mutation its writers (and its
+// damage) can produce — appends, lines caught mid-write, self-repair
+// truncation, new and deleted shard files, files replaced under a new
+// inode, interior garbage, stale and conflicting receipts — refreshing one
+// long-lived index after each step and comparing it, name by name, with a
+// fresh LoadResultsStore.
+TEST(FleetReceiptIndex, MatchesFreshLoadUnderRandomStoreMutations) {
+  const uint64_t seed = FuzzSeed();
+  SCOPED_TRACE("reproduce with: WC_FUZZ_SEED=" + std::to_string(seed) +
+               " ctest --test-dir build -R FleetReceiptIndex --output-on-failure");
+  uint64_t sm = seed;
+  Rng rng(SplitMix64(sm));
+  const std::string dir = TempPath("index_fuzz");
+  std::filesystem::create_directories(dir);
+  constexpr int kNames = 6;
+  constexpr int kFiles = 4;
+  auto file_of = [&](int k) { return dir + "/shard-" + std::to_string(k) + ".jsonl"; };
+  // Bytes of a line caught mid-write, per file, still to be appended.
+  std::vector<std::string> in_flight(kFiles);
+
+  auto append = [&](int k, const std::string& bytes) {
+    std::ofstream(file_of(k), std::ios::binary | std::ios::app) << bytes;
+  };
+  auto random_line = [&]() {
+    int i = static_cast<int>(rng.NextBelow(kNames));
+    uint64_t fp = rng.NextBool(0.2) ? 100 + i : 1 + i;     // Stale fingerprint.
+    uint64_t hash = rng.NextBool(0.1) ? 0xff : 1000 + i;  // Conflicting hash.
+    return ReceiptLine(MakeReceipt("grid/n" + std::to_string(i), fp, hash)) + "\n";
+  };
+
+  ReceiptIndex index(dir);
+  for (int step = 0; step < 300; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    int mutations = 1 + static_cast<int>(rng.NextBelow(3));
+    for (int m = 0; m < mutations; ++m) {
+      int k = static_cast<int>(rng.NextBelow(kFiles));
+      bool exists = std::filesystem::exists(file_of(k));
+      switch (rng.NextBelow(8)) {
+        case 0:
+        case 1:
+        case 2: {  // Append whole lines, finishing any line caught mid-write.
+          std::string bytes = in_flight[k];
+          in_flight[k].clear();
+          for (uint64_t n = rng.NextInRange(1, 3); n > 0; --n) {
+            bytes += random_line();
+          }
+          append(k, bytes);
+          break;
+        }
+        case 3: {  // Start a line and stop mid-write; sometimes the cut
+                   // falls just before the newline, a whole receipt.
+          if (!in_flight[k].empty()) {
+            break;
+          }
+          std::string line = random_line();
+          size_t cut = rng.NextBool(0.3) ? line.size() - 1
+                                         : static_cast<size_t>(rng.NextBelow(line.size()));
+          append(k, line.substr(0, cut));
+          in_flight[k] = line.substr(cut);
+          break;
+        }
+        case 4:  // Interior garbage once more lines follow.
+          append(k, in_flight[k] + "{broken\n");
+          in_flight[k].clear();
+          break;
+        case 5:  // Writer killed and restarted: self-repair truncation. Or
+                 // damage: cut anywhere, which ends the step (see below).
+          if (exists) {
+            std::string bytes = ReadAll(file_of(k));
+            if (rng.NextBool(0.7)) {
+              std::filesystem::resize_file(file_of(k), CleanReceiptPrefixBytes(bytes));
+            } else {
+              std::filesystem::resize_file(file_of(k), rng.NextBelow(bytes.size() + 1));
+              m = mutations;
+            }
+            in_flight[k].clear();
+          }
+          break;
+        case 6:  // Replaced under a new inode by different, longer content.
+                 // This ends the step too.
+          if (exists) {
+            std::string old_bytes = ReadAll(file_of(k));
+            std::string bytes = random_line();
+            for (char c : old_bytes) {
+              bytes += c == '\n' ? random_line() : "";
+            }
+            std::string tmp = dir + "/replace.tmp";
+            WriteAll(tmp, bytes);
+            std::filesystem::rename(tmp, file_of(k));
+            in_flight[k].clear();
+            m = mutations;
+          }
+          break;
+        default:  // Deleted. A rewrite regrown past the old size, or a
+                  // new file given the freed inode number, looks like
+                  // growth to an index that has not looked in between, so
+                  // each such change ends the step. Shard files are never
+                  // deleted, replaced or cut into under a running fleet.
+          if (exists) {
+            std::filesystem::remove(file_of(k));
+            in_flight[k].clear();
+            m = mutations;
+          }
+          break;
+      }
+    }
+
+    std::string error;
+    ASSERT_TRUE(index.Refresh(&error)) << error;
+    ResultsStore store;
+    ASSERT_TRUE(LoadResultsStore(dir, &store, &error)) << error;
+    for (int i = 0; i < kNames; ++i) {
+      std::string name = "grid/n" + std::to_string(i);
+      for (uint64_t fp : {uint64_t{1} + i, uint64_t{100} + i, uint64_t{999}}) {
+        bool had_want = false;
+        bool had_got = false;
+        bool want = StoreDone(store, name, fp, &had_want);
+        ASSERT_EQ(index.Done(name, fp, &had_got), want) << name << " fp " << fp;
+        ASSERT_EQ(had_got, had_want) << name << " fp " << fp;
+      }
+    }
+  }
 }
 
 // ---- Sharded execution and resume ------------------------------------------
@@ -409,6 +632,30 @@ TEST(FleetShard, ConflictingReceiptsForceReExecution) {
   EXPECT_EQ(resumed.ran, 1);  // Only the conflicted scenario re-runs.
   EXPECT_EQ(resumed.requeued, 1);
   EXPECT_EQ(resumed.skipped, static_cast<int>(scenarios.size()) - 1);
+}
+
+// One run reads each receipt line about once: the startup scan plus one
+// incremental refresh per claim. Rereading the store per claim parsed
+// about N^2/2 lines.
+TEST(FleetShard, ReceiptParsingIsLinearInTheStore) {
+  GridSpec spec;
+  std::string error;
+  ASSERT_TRUE(ParseGridSpec(
+      "topo=flat1x4;workload=mix;feat=stock,fixed;policy=cfs;mix=4;seeds=12;"
+      "scale=0.02;horizon_ms=20;seed=11",
+      &spec, &error))
+      << error;
+  std::vector<Scenario> scenarios = ExpandGrid(spec);
+  const uint64_t n = scenarios.size();
+  ASSERT_EQ(n, 24u);
+  ShardOptions opts{TempPath("linear"), 0, 1, 1};
+  ShardReport fresh = RunShard(scenarios, opts);
+  EXPECT_EQ(fresh.ran, static_cast<int>(n));
+  EXPECT_LE(fresh.receipts_parsed, 2 * n);
+
+  ShardReport resumed = RunShard(scenarios, opts);
+  EXPECT_EQ(resumed.skipped, static_cast<int>(n));
+  EXPECT_EQ(resumed.receipts_parsed, n);  // The startup scan alone.
 }
 
 TEST(FleetShardDeathTest, DuplicateManifestNamesAreRejected) {
