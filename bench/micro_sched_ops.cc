@@ -154,6 +154,43 @@ void BM_WakeupPlacement(benchmark::State& state) {
 }
 BENCHMARK(BM_WakeupPlacement);
 
+// Wakeup placement on a machine with no idle core: Bulldozer 8x8 with k to
+// k+3 pinned hogs per cpu (cpu c holds k + c%4), so every wake takes the
+// busy-node fallback of select_idle_sibling and two of the node's eight
+// cpus share its minimum nr_running. Each placement runs at a new instant,
+// so every load it reads misses the RqLoad memo and folds a runqueue — the
+// per-wake cost of deep-runqueue workloads. Placement only: the sleeper is
+// never enqueued, so the machine stays the same across iterations.
+void BM_WakeupPlacementBusyNode(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  Topology topo = Topology::Bulldozer8x8();
+  NullClient client;
+  Scheduler sched(topo, SchedFeatures::Stock(), SchedTunables::ForCpus(topo.n_cores()), &client);
+  ThreadParams sleeper;
+  sleeper.parent_cpu = 0;
+  ThreadId tid = sched.CreateThread(0, sleeper);
+  sched.PickNext(0, 0);
+  sched.BlockCurrent(1, 0);
+  for (CpuId c = 0; c < topo.n_cores(); ++c) {
+    for (int i = 0; i < k + c % 4; ++i) {
+      ThreadParams params;
+      params.parent_cpu = c;
+      params.affinity = CpuSet::Single(c);
+      sched.CreateThread(1, params);
+    }
+    sched.PickNext(1, c);
+  }
+  const SchedEntity& se = sched.Entity(tid);
+  Time now = 2;
+  for (auto _ : state) {
+    CpuSet considered;
+    benchmark::DoNotOptimize(sched.CfsSelectWakeCpu(now, se, /*waker_cpu=*/0, &considered));
+    now += 1;
+  }
+  state.SetLabel(std::to_string(k) + "-" + std::to_string(k + 3) + " queued per cpu");
+}
+BENCHMARK(BM_WakeupPlacementBusyNode)->Arg(4)->Arg(32);
+
 // The wakeup-placement scan the incremental idle index replaces: the
 // longest-idle cpu over the full affinity mask, at 8 and 64 cores with the
 // machine mostly busy (10% idle — the overloaded case every wake hits) and

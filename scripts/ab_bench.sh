@@ -11,7 +11,8 @@
 # absolute numbers on this host meaningless.
 #
 # Metrics:
-#   BM_NewidlePass, BM_SimulatedSecond   (micro_sched_ops real_time)
+#   BM_NewidlePass, BM_SimulatedSecond,
+#   BM_WakeupPlacementBusyNode/{4,32}    (micro_sched_ops real_time)
 #   random/99-4 us/event                 (sweep_driver: wall_ms*1000/sim_events)
 #
 # Usage: scripts/ab_bench.sh [--baseline=REV] [--pairs=N] [--min-time=S] [--smoke]
@@ -43,7 +44,7 @@ for arg in "$@"; do
 done
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
-FILTER='BM_NewidlePass$|BM_SimulatedSecond'
+FILTER='BM_NewidlePass$|BM_SimulatedSecond|BM_WakeupPlacementBusyNode'
 
 echo "==== [ab] build HEAD (release preset) ===="
 cmake --preset release >/dev/null

@@ -107,6 +107,7 @@ double Scheduler::RqLoadFill(Time now, CpuId cpu) const {
   load_cache_epoch_[cpu] = ag_epoch_;
   load_cache_feat_[cpu] = feature_gen_;
   load_cache_value_[cpu] = load;
+  stats_.rq_load_fills += 1;
   return load;
 }
 

@@ -475,7 +475,8 @@ class Scheduler {
   std::vector<SchedEntity*> move_hot_scratch_;
   std::vector<SchedEntity*> evacuees_scratch_;
 
-  SchedStats stats_;
+  // mutable for rq_load_fills, which RqLoad (logically const) counts.
+  mutable SchedStats stats_;
 
   static TraceSink* NullSink();
 };

@@ -1,6 +1,8 @@
 // Wakeup placement (select_task_rq_fair): §2.2.2 and the Overload-on-Wakeup
 // bug of §3.3.
+#include <algorithm>
 #include <cassert>
+#include <limits>
 
 #include "src/core/scheduler.h"
 
@@ -133,16 +135,28 @@ CpuId Scheduler::SelectTaskRqStock(Time now, const SchedEntity& se, CpuId waker_
       return c;
     }
   }
-  // All cores of the node are busy: wake on the least loaded one anyway.
+  // All cores of the node are busy: wake on the least loaded one anyway —
+  // the lexicographic minimum of (nr_running, load), lowest cpu id on a
+  // full tie. Load only breaks ties in nr_running, so the first pass takes
+  // the minimum nr_running from the dense mirror and the second reads
+  // RqLoad only for the cpus at that minimum, in the same ascending order
+  // with the same strict `<`: the same argmin and tie rule as one pass over
+  // (nr, load). RqLoad is an exact memo, so the loads not read change no
+  // decision, trace event or hash; each only saves a runqueue fold
+  // (stats().rq_load_fills).
+  int min_nr = std::numeric_limits<int>::max();
+  for (CpuId c : candidates) {
+    min_nr = std::min(min_nr, nr_running_[c]);
+  }
   CpuId best = kInvalidCpu;
-  int best_nr = 0;
   double best_load = 0;
   for (CpuId c : candidates) {
-    int nr = nr_running_[c];
+    if (nr_running_[c] != min_nr) {
+      continue;
+    }
     double load = RqLoad(now, c);
-    if (best == kInvalidCpu || nr < best_nr || (nr == best_nr && load < best_load)) {
+    if (best == kInvalidCpu || load < best_load) {
       best = c;
-      best_nr = nr;
       best_load = load;
     }
   }

@@ -36,6 +36,7 @@ struct SchedStats {
   uint64_t wake_policy_suggestions = 0;  // Modular wakeups taken as suggested.
   uint64_t wake_policy_vetoes = 0;       // Suggestions overridden by the core
                                          // to preserve work conservation.
+  uint64_t rq_load_fills = 0;  // RqLoad memo misses: one runqueue load fold each.
 
   uint64_t TotalMigrations() const {
     return migrations_periodic + migrations_idle + migrations_nohz + migrations_hotplug;

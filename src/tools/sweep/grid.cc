@@ -1,5 +1,9 @@
 #include "src/tools/sweep/grid.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 
 #include "src/modsched/policy_registry.h"
@@ -161,21 +165,26 @@ std::vector<std::string> SplitList(const std::string& s, char sep) {
   return out;
 }
 
+// Parses all of `s` as a decimal uint64: digits only (strtoull alone would
+// also take leading space, a sign — "-1" wraps to 2^64-1 — and saturate
+// out-of-range values at 2^64-1).
 bool ParseWholeU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) {
+  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
     return false;
   }
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) {
+  errno = 0;
+  unsigned long long v = std::strtoull(s.c_str(), nullptr, 10);
+  if (errno == ERANGE) {
     return false;
   }
   *out = v;
   return true;
 }
 
+// Parses all of `s` as a double. Leading space is refused here too (strtod
+// would skip it); range and finiteness are the caller's checks.
 bool ParseWholeDouble(const std::string& s, double* out) {
-  if (s.empty()) {
+  if (s.empty() || std::isspace(static_cast<unsigned char>(s[0]))) {
     return false;
   }
   char* end = nullptr;
@@ -273,13 +282,15 @@ bool ParseGridSpec(const std::string& text, GridSpec* spec, std::string* error) 
       out.base_seed = n;
     } else if (key == "scale") {
       double v = 0;
-      if (values.size() != 1 || !ParseWholeDouble(values[0], &v) || !(v > 0)) {
+      if (values.size() != 1 || !ParseWholeDouble(values[0], &v) || !(v > 0) ||
+          !std::isfinite(v)) {
         return fail("bad scale '" + pair.substr(eq + 1) + "'");
       }
       out.scale = v;
     } else if (key == "horizon_ms") {
       uint64_t n = 0;
-      if (values.size() != 1 || !ParseWholeU64(values[0], &n) || n < 1) {
+      if (values.size() != 1 || !ParseWholeU64(values[0], &n) || n < 1 ||
+          n > UINT64_MAX / kMillisecond) {  // Milliseconds(n) must not overflow.
         return fail("bad horizon_ms '" + pair.substr(eq + 1) + "'");
       }
       out.horizon = Milliseconds(n);

@@ -13,6 +13,8 @@
 //    accounting (Scheduler::ValidateRq).
 //  * Sanity-checker parity — Algorithm 2's CheckOnce fires iff a core is
 //    idle while another runqueue holds a thread it could steal.
+//  * Busy-node wake placement — the argmin of (nr_running, load) matches a
+//    one-pass lexicographic scan (WakeFallbackMatchesLexicographicScan).
 //
 // Seeding: the base seed comes from WC_FUZZ_SEED (env) so a CI failure is
 // reproducible locally; every failure message carries the repro command.
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "src/core/pelt.h"
+#include "src/core/sched_policy.h"
 #include "src/sim/simulator.h"
 #include "src/simkit/rng.h"
 #include "src/telemetry/stream/stream_sink.h"
@@ -384,6 +387,94 @@ TEST(FuzzInvariants, IdleIndexSurvivesHotplugOfLongestIdleAnswer) {
     sim.Run(sim.Now() + rng.NextTime(Microseconds(300), Milliseconds(2)));
   }
   EXPECT_GT(offlined_rounds, 10) << "machine was never idle enough to exercise the index";
+}
+
+// ---- Wake-placement fallback differential ------------------------------------
+//
+// CFS behind a policy that re-derives every busy-node wake placement. When
+// the stock path finds every candidate busy it returns the considered set
+// unchanged from the candidate set (an idle cpu anywhere in it would have
+// been taken first), so a considered set with no idle cpu is exactly the
+// fallback's input. The oracle is the one-pass lexicographic scan of
+// (nr_running, from-scratch load) in ascending cpu order with strict `<`;
+// the scheduler's answer must match it on every such wake.
+class FallbackOraclePolicy : public CfsPolicy {
+ public:
+  CpuId SelectWakeCpu(Time now, const SchedEntity& se, CpuId waker_cpu,
+                      CpuSet* considered) override {
+    CpuId got = sched_->CfsSelectWakeCpu(now, se, waker_cpu, considered);
+    CpuId want = kInvalidCpu;
+    int want_nr = 0;
+    double want_load = 0;
+    int tied = 0;  // Candidates sharing the winner's (nr_running, load).
+    for (CpuId c : *considered) {
+      int nr = sched_->NrRunning(c);
+      if (nr == 0) {
+        return got;  // An idle candidate: not the busy-node fallback.
+      }
+      double load = sched_->RqLoadRecomputed(now, c);
+      if (want == kInvalidCpu || nr < want_nr || (nr == want_nr && load < want_load)) {
+        want = c;
+        want_nr = nr;
+        want_load = load;
+        tied = 1;
+      } else if (nr == want_nr && load == want_load) {
+        tied += 1;
+      }
+    }
+    fallbacks_ += 1;
+    full_ties_ += tied > 1 ? 1 : 0;
+    if (got != want && ++mismatches_ == 1) {  // Report the first; the run asserts the count.
+      ADD_FAILURE() << "busy-node wake of tid " << se.tid << " at t=" << now << " chose cpu "
+                    << got << ", lexicographic scan says cpu " << want;
+    }
+    return got;
+  }
+
+  int fallbacks() const { return fallbacks_; }
+  int full_ties() const { return full_ties_; }
+  int mismatches() const { return mismatches_; }
+
+ private:
+  int fallbacks_ = 0;
+  int full_ties_ = 0;
+  int mismatches_ = 0;
+};
+
+TEST(FuzzInvariants, WakeFallbackMatchesLexicographicScan) {
+  uint64_t base = BaseSeed();
+  int fallbacks = 0;
+  int full_ties = 0;
+  for (int run = 0; run < kRuns; ++run) {
+    for (bool fixed : {false, true}) {
+      uint64_t seed = base + 77000ULL + static_cast<uint64_t>(run);
+      SCOPED_TRACE(ReproCommand(seed) + (fixed ? " (fixed features)" : " (stock features)"));
+      uint64_t sm = seed;
+      Rng rng(SplitMix64(sm));
+      Topology topo = RandomTopology(rng);
+      Simulator::Options opts;
+      opts.features = RandomFeatures(rng);
+      opts.features.fix_overload_wakeup = fixed;
+      opts.seed = seed;
+      FallbackOraclePolicy policy;
+      opts.policy = &policy;
+      Simulator sim(topo, opts);
+      // More threads than cpus, so whole nodes run busy and wakes reach the
+      // fallback under the fix too.
+      int n_cores = topo.n_cores();
+      SpawnRandomMix(sim, rng, 2 * n_cores + static_cast<int>(rng.NextInRange(0, 16)));
+      Rng hotplug_rng(SplitMix64(sm));
+      if (rng.NextBool(0.5)) {
+        sim.After(kHotplugInterval / 2, RearmingHotplug{&sim, &hotplug_rng});
+      }
+      sim.Run(Milliseconds(100));
+      ASSERT_EQ(policy.mismatches(), 0);
+      fallbacks += policy.fallbacks();
+      full_ties += policy.full_ties();
+    }
+  }
+  EXPECT_GT(fallbacks, 1000) << "too few busy-node wakes to mean anything";
+  EXPECT_GT(full_ties, 0) << "no full (nr_running, load) tie: the tie rule went untested";
 }
 
 // ---- Streaming-parity invariant ---------------------------------------------

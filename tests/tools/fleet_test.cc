@@ -6,6 +6,7 @@
 // "fleet"; everything here is in-process so it runs under ctest -j.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -123,6 +124,21 @@ TEST(FleetGrid, ParseGridSpecRejectsBadInput) {
   EXPECT_FALSE(ParseGridSpec("topo=not_a_topo", &spec, &error));
   EXPECT_FALSE(ParseGridSpec("mix=abc", &spec, &error));
   EXPECT_FALSE(ParseGridSpec("seeds=0", &spec, &error));
+  // Numbers strtoull/strtod would take but wrap, saturate or overflow.
+  EXPECT_FALSE(ParseGridSpec("seed=-1", &spec, &error));
+  EXPECT_FALSE(ParseGridSpec("seed=99999999999999999999", &spec, &error));
+  EXPECT_FALSE(ParseGridSpec("horizon_ms=-1", &spec, &error));
+  EXPECT_FALSE(ParseGridSpec("horizon_ms=18446744073709551", &spec, &error));
+  EXPECT_FALSE(ParseGridSpec("scale=inf", &spec, &error));
+  EXPECT_FALSE(ParseGridSpec("scale=1e400", &spec, &error));
+  EXPECT_FALSE(ParseGridSpec("seeds= 3", &spec, &error));
+  EXPECT_FALSE(ParseGridSpec("mix=+4", &spec, &error));
+  EXPECT_FALSE(ParseGridSpec("scale= 0.5", &spec, &error));
+  // The largest values that still fit are accepted.
+  EXPECT_TRUE(ParseGridSpec("seed=18446744073709551615", &spec, &error)) << error;
+  EXPECT_EQ(spec.base_seed, UINT64_MAX);
+  EXPECT_TRUE(ParseGridSpec("horizon_ms=18446744073709", &spec, &error)) << error;
+  EXPECT_EQ(spec.horizon, Milliseconds(18446744073709ULL));
   EXPECT_TRUE(ParseGridSpec("default", &spec, &error)) << error;
   EXPECT_EQ(ExpandGrid(spec).size(), ExpandGrid(DefaultFleetGrid()).size());
 }
