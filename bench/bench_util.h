@@ -134,18 +134,19 @@ inline long long ParseIntFlag(const char* flag, const std::string& value, long l
   return v;
 }
 
-// Unsigned 64-bit integer; `def` when the flag was not given.
+// Unsigned 64-bit integer; `def` when the flag was not given. Digits only:
+// strtoull skips leading space and then accepts a sign, so " -1" would
+// otherwise wrap to 2^64-1.
 inline uint64_t ParseU64Flag(const char* flag, const std::string& value, uint64_t def) {
   if (value.empty()) {
     return def;
   }
-  if (value[0] == '-' || value[0] == '+') {
+  if (value.find_first_not_of("0123456789") != std::string::npos) {
     BadFlagValue(flag, value, "an unsigned integer");
   }
   errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (errno != 0 || end != value.c_str() + value.size()) {
+  unsigned long long v = std::strtoull(value.c_str(), nullptr, 10);
+  if (errno != 0) {
     BadFlagValue(flag, value, "an unsigned integer");
   }
   return v;

@@ -312,7 +312,7 @@ void BM_PeriodicBalancePassChurn(benchmark::State& state) {
 BENCHMARK(BM_PeriodicBalancePassChurn);
 
 // One newidle (idle-balance) pass: cpu 0 runs dry while cpus 1..7 of its
-// node hold ten pinned queued threads each (nothing stealable) and every
+// node hold ten pinned queued threads each (nothing can move) and every
 // remote core runs one pinned hog. Every pass runs at a fresh instant, so
 // every group is re-aggregated from the per-cpu loads. This is the pass that
 // dominates fig2_make_r/fixed wall time.
@@ -352,6 +352,39 @@ void BM_NewidlePass(benchmark::State& state) {
   state.SetLabel("64 cores, 70 stacked on node0, newidle on cpu0");
 }
 BENCHMARK(BM_NewidlePass);
+
+// The common new-idle pass: cpu 0 runs dry while every other core runs one
+// hog with nothing queued behind it. No domain has a thread to steal, so
+// every level returns before its group-load fold. (BM_NewidlePass stacks
+// pinned *queued* threads instead, which the screen cannot rule out.)
+void BM_NewidlePassNothingQueued(benchmark::State& state) {
+  Topology topo = Topology::Bulldozer8x8();
+  NullClient client;
+  Scheduler sched(topo, SchedFeatures::Stock(), SchedTunables::ForCpus(topo.n_cores()), &client);
+  Time now = 0;
+  for (CpuId c = 1; c < topo.n_cores(); ++c) {
+    ThreadParams params;
+    params.parent_cpu = c;
+    params.affinity = CpuSet::Single(c);
+    sched.CreateThread(now, params);
+    sched.PickNext(now, c);
+  }
+  ThreadParams tparams;
+  tparams.parent_cpu = 0;
+  tparams.affinity = CpuSet::Single(0);
+  ThreadId toggler = sched.CreateThread(now, tparams);
+  sched.PickNext(now, 0);
+  now = Milliseconds(10);
+  for (auto _ : state) {
+    sched.BlockCurrent(now, 0);
+    sched.PickNext(now, 0);  // Empty runqueue: the measured newidle pass.
+    sched.Wake(now + 1, toggler, 0);
+    sched.PickNext(now + 1, 0);
+    now += Microseconds(50);  // Fresh instant per pass.
+  }
+  state.SetLabel("64 cores, one hog on each of 63, nothing queued, newidle on cpu0");
+}
+BENCHMARK(BM_NewidlePassNothingQueued);
 
 // One NOHZ sweep: a kicked idle core runs balancing on behalf of all ~60
 // tickless idle cores of a 64-core machine while 4 cores hold pinned load.

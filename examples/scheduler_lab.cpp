@@ -14,6 +14,9 @@
 //   --heatmap                    print the runqueue-size heatmap at the end
 //   --checker                    attach the online sanity checker
 //   --no-autogroup               disable autogroups
+//
+// A malformed or out-of-range number in any option exits 2 with a message
+// naming the option.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/sim/simulator.h"
 #include "src/tools/heatmap.h"
 #include "src/tools/recorder.h"
@@ -72,6 +76,21 @@ std::vector<std::string> Split(const std::string& s, char sep) {
   return parts;
 }
 
+// The checked parsers read an empty value as "not given"; on an option that
+// was given ("--seed=", "flat:x4", "hogs:") it is a typo like any other.
+std::string RequiredString(const char* flag, const std::string& value) {
+  if (value.empty()) {
+    BadFlagValue(flag, value, "a number");
+  }
+  return value;
+}
+
+int RequiredInt(const char* flag, const std::string& value, long long min_value,
+                long long max_value) {
+  return static_cast<int>(
+      ParseIntFlag(flag, RequiredString(flag, value), 0, min_value, max_value));
+}
+
 Args Parse(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
@@ -82,16 +101,16 @@ Args Parse(int argc, char** argv) {
       args.workload = v;
     } else if (StartsWith(argv[i], "--pin=", &v)) {
       for (const std::string& part : Split(v, ',')) {
-        args.pin_nodes.push_back(std::atoi(part.c_str()));
+        args.pin_nodes.push_back(RequiredInt("pin", part, 0, kMaxCpus));
       }
     } else if (StartsWith(argv[i], "--fix=", &v)) {
       args.fixes = v;
     } else if (StartsWith(argv[i], "--hotplug=", &v)) {
-      args.hotplug_cpu = std::atoi(v);
+      args.hotplug_cpu = RequiredInt("hotplug", v, 0, kMaxCpus - 1);
     } else if (StartsWith(argv[i], "--duration=", &v)) {
-      args.duration_s = std::atof(v);
+      args.duration_s = ParseDoubleFlag("duration", RequiredString("duration", v), 30, 0, 1e6);
     } else if (StartsWith(argv[i], "--seed=", &v)) {
-      args.seed = std::strtoull(v, nullptr, 10);
+      args.seed = ParseU64Flag("seed", RequiredString("seed", v), 1);
     } else if (std::strcmp(argv[i], "--heatmap") == 0) {
       args.heatmap = true;
     } else if (std::strcmp(argv[i], "--checker") == 0) {
@@ -117,7 +136,12 @@ Topology MakeMachine(const std::string& spec) {
   if (StartsWith(spec.c_str(), "flat:", &v)) {
     std::vector<std::string> parts = Split(v, 'x');
     if (parts.size() == 2) {
-      return Topology::Flat(std::atoi(parts[0].c_str()), std::atoi(parts[1].c_str()));
+      int nodes = RequiredInt("machine", parts[0], 1, kMaxCpus);
+      int cores = RequiredInt("machine", parts[1], 1, kMaxCpus);
+      if (nodes * cores > kMaxCpus) {
+        BadFlagValue("machine", spec, "flat:NxC with at most 256 cpus in all");
+      }
+      return Topology::Flat(nodes, cores);
     }
   }
   std::fprintf(stderr, "bad --machine (want bulldozer | example32 | flat:NxC)\n");
@@ -194,7 +218,8 @@ int main(int argc, char** argv) {
   if (wparts[0] == "nas" && wparts.size() >= 2) {
     NasConfig config;
     config.app = ParseNasApp(wparts[1]);
-    config.threads = wparts.size() >= 3 ? std::atoi(wparts[2].c_str()) : topo.n_cores();
+    config.threads =
+        wparts.size() >= 3 ? RequiredInt("workload", wparts[2], 1, 65536) : topo.n_cores();
     config.affinity = pin;
     config.spawn_cpu = pin.Empty() ? 0 : pin.First();
     NasWorkload* wl = new NasWorkload(&sim, config);
@@ -212,7 +237,7 @@ int main(int argc, char** argv) {
         &sim, TransientThreadGenerator::Options{});
     transients->Start();
   } else if (wparts[0] == "hogs" && wparts.size() >= 2) {
-    int n = std::atoi(wparts[1].c_str());
+    int n = RequiredInt("workload", wparts[1], 1, 65536);
     for (int i = 0; i < n; ++i) {
       Simulator::SpawnParams params;
       params.parent_cpu = pin.Empty() ? 0 : pin.First();

@@ -11,7 +11,7 @@
 # absolute numbers on this host meaningless.
 #
 # Metrics:
-#   BM_NewidlePass, BM_SimulatedSecond,
+#   BM_NewidlePass, BM_NewidlePassNothingQueued, BM_SimulatedSecond,
 #   BM_WakeupPlacementBusyNode/{4,32}    (micro_sched_ops real_time)
 #   random/99-4 us/event                 (sweep_driver: wall_ms*1000/sim_events)
 #
@@ -44,7 +44,7 @@ for arg in "$@"; do
 done
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
-FILTER='BM_NewidlePass$|BM_SimulatedSecond|BM_WakeupPlacementBusyNode'
+FILTER='BM_NewidlePass$|BM_NewidlePassNothingQueued|BM_SimulatedSecond|BM_WakeupPlacementBusyNode'
 
 echo "==== [ab] build HEAD (release preset) ===="
 cmake --preset release >/dev/null

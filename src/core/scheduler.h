@@ -321,6 +321,16 @@ class Scheduler {
   // One Algorithm-1 body for (cpu, domain). Returns #threads moved.
   int BalanceDomain(Time now, CpuId cpu, SchedDomain& sd, ConsideredKind kind);
 
+  // Whether `cpu`'s runqueue holds a queued thread (curr cannot be
+  // migrated): the one test every balance source passes. Read through the
+  // dense nr mirror first: nr == 0 means an empty tree and nr >= 2
+  // guarantees a queued entity (at most one curr), so only nr == 1 — where
+  // curr-only and one-queued look alike — dereferences the runqueue.
+  bool HasQueued(CpuId cpu) const {
+    int nr = nr_running_[cpu];
+    return nr >= 2 || (nr == 1 && cpus_[cpu].rq.queued() >= 1);
+  }
+
   // Lines 2-9 of Algorithm 1: the core designated to balance `sd` on behalf
   // of its local group — the first idle cpu of the group's balance mask
   // (the seed node's cores for multi-node groups), else its first cpu.

@@ -27,6 +27,38 @@ Scheduler::GroupLoadStats Scheduler::ComputeGroupStats(Time now, const CpuSet& c
 int Scheduler::BalanceDomain(Time now, CpuId cpu, SchedDomain& sd, ConsideredKind kind) {
   stats_.balance_calls += 1;
 
+  // The cores examined: every online member of every group. Folded once
+  // per domain rebuild, not once per pass — see considered_cache. Recorded
+  // before any load is read: it is the only trace event a pass that moves
+  // nothing emits.
+  if (!sd.considered_cached) {
+    for (const SchedGroup& grp : sd.groups) {
+      sd.considered_cache |= grp.cpus & online_;
+    }
+    sd.considered_cached = true;
+  }
+  trace_->OnConsidered(now, cpu, sd.considered_cache, kind);
+
+  // Nothing to steal, nothing to fold. The group loads below only choose a
+  // source (Algorithm 1 lines 10-23), and every source the loop further down
+  // can pick is a considered cpu other than this one that passes HasQueued.
+  // When none does, that loop finds no source however the groups compare:
+  // the pass moves no thread, changes no imbalanced_ bit and emits nothing
+  // after OnConsidered. Returning before the fold is therefore exact —
+  // RqLoad is a pure memo — and only the verdict counter differs. The scan
+  // stops at the first stealable cpu, so deep runqueues pay about one read.
+  bool stealable = false;
+  for (CpuId c : sd.considered_cache) {
+    if (c != cpu && HasQueued(c)) {
+      stealable = true;
+      break;
+    }
+  }
+  if (!stealable) {
+    stats_.balance_nothing_stealable += 1;
+    return 0;
+  }
+
   // The metric that compares groups. Stock kernels compare *average* loads,
   // which lets one high-load thread conceal idle cores on its node — the
   // Group Imbalance bug. The fix compares the *minimum* loads: if some core
@@ -82,16 +114,6 @@ int Scheduler::BalanceDomain(Time now, CpuId cpu, SchedDomain& sd, ConsideredKin
     }
     stats[g] = ComputeGroupStats(now, sd.groups[g].cpus);
   }
-  // The cores examined: every online member of every group. Folded once
-  // per domain rebuild, not once per pass — see considered_cache.
-  if (!sd.considered_cached) {
-    for (const SchedGroup& grp : sd.groups) {
-      sd.considered_cache |= grp.cpus & online_;
-    }
-    sd.considered_cached = true;
-  }
-  trace_->OnConsidered(now, cpu, sd.considered_cache, kind);
-
   for (;;) {
     int excluded_at_pass_start = excluded.Count();
 
@@ -128,16 +150,7 @@ int Scheduler::BalanceDomain(Time now, CpuId cpu, SchedDomain& sd, ConsideredKin
       CpuId src = kInvalidCpu;
       double src_load = 0;
       for (CpuId c : sd.groups[busiest].cpus) {
-        if (c == cpu || excluded.Test(c) || !online_.Test(c)) {
-          continue;
-        }
-        // Nothing stealable (curr cannot be migrated). Screened through the
-        // dense nr mirror first: nr == 0 means an empty tree and nr >= 2
-        // guarantees a queued entity (at most one curr), so only nr == 1 —
-        // where curr-only and one-queued look alike — needs to dereference
-        // the runqueue.
-        int nr = nr_running_[c];
-        if (nr < 1 || (nr == 1 && cpus_[c].rq.queued() < 1)) {
+        if (c == cpu || excluded.Test(c) || !online_.Test(c) || !HasQueued(c)) {
           continue;
         }
         double load = RqLoad(now, c);

@@ -25,6 +25,9 @@ struct SchedStats {
   uint64_t balance_group_cache_hits = 0;
   uint64_t balance_group_cache_misses = 0;
   uint64_t balance_failures = 0;      // Nothing could be moved at all.
+  // Bodies that returned before the group-load fold: no considered cpu but
+  // the caller had a queued thread, so there was no source to choose.
+  uint64_t balance_nothing_stealable = 0;
   uint64_t balance_success = 0;       // Algorithm-1 bodies that moved >= 1 thread.
   uint64_t balance_moved_tasks = 0;   // Threads moved by balancing, all kinds.
   uint64_t migrations_periodic = 0;

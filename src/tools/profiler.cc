@@ -17,6 +17,7 @@ BalanceProfile ProfileFromStats(const SchedStats& before, const SchedStats& afte
   p.interval_skips = after.balance_interval_skips - before.balance_interval_skips;
   p.affinity_retries = after.balance_affinity_retries - before.balance_affinity_retries;
   p.failures = after.balance_failures - before.balance_failures;
+  p.nothing_stealable = after.balance_nothing_stealable - before.balance_nothing_stealable;
   p.success = after.balance_success - before.balance_success;
   p.moved_tasks = after.balance_moved_tasks - before.balance_moved_tasks;
   p.migrations = after.TotalMigrations() - before.TotalMigrations();
@@ -26,7 +27,7 @@ BalanceProfile ProfileFromStats(const SchedStats& before, const SchedStats& afte
 }
 
 std::string ProfileReport(const BalanceProfile& p) {
-  char buf[512];
+  char buf[768];
   std::snprintf(
       buf, sizeof(buf),
       "balance profile [%s, %s]:\n"
@@ -35,6 +36,7 @@ std::string ProfileReport(const BalanceProfile& p) {
       "  skipped, not designated core    %llu\n"
       "  affinity (taskset) retries      %llu\n"
       "  moved nothing                   %llu\n"
+      "  nothing stealable (screened)    %llu\n"
       "  migrations                      %llu\n"
       "  wakeups                         %llu (onto busy cores: %llu)\n",
       FormatTime(p.window_start).c_str(), FormatTime(p.window_end).c_str(),
@@ -44,6 +46,7 @@ std::string ProfileReport(const BalanceProfile& p) {
       static_cast<unsigned long long>(p.designation_skips),
       static_cast<unsigned long long>(p.affinity_retries),
       static_cast<unsigned long long>(p.failures),
+      static_cast<unsigned long long>(p.nothing_stealable),
       static_cast<unsigned long long>(p.migrations), static_cast<unsigned long long>(p.wakeups),
       static_cast<unsigned long long>(p.wakeups_on_busy));
   return buf;
@@ -52,7 +55,8 @@ std::string ProfileReport(const BalanceProfile& p) {
 std::string BalanceVerdictTable(const BalanceProfile& p) {
   // Every invocation of the balancing machinery ends in exactly one verdict.
   // Interval/designation skips happen before the Algorithm-1 body runs;
-  // bodies end moved / below-local / nothing-movable.
+  // bodies end moved / below-local / nothing-movable, or before the load
+  // fold when no considered cpu has a thread to steal.
   struct Row {
     const char* verdict;
     uint64_t count;
@@ -61,6 +65,7 @@ std::string BalanceVerdictTable(const BalanceProfile& p) {
       {"moved threads", p.success},
       {"balanced (busiest <= local)", p.below_local},
       {"nothing movable (pinned/empty)", p.failures},
+      {"nothing stealable (screened)", p.nothing_stealable},
       {"skipped: interval not due", p.interval_skips},
       {"skipped: not designated core", p.designation_skips},
   };

@@ -23,6 +23,7 @@ struct BalanceProfile {
   uint64_t interval_skips = 0;     // Gave up before the body: interval not due.
   uint64_t affinity_retries = 0;   // Tasksets forced cpu exclusion.
   uint64_t failures = 0;           // No thread could be moved.
+  uint64_t nothing_stealable = 0;  // Screened: no considered cpu had a queued thread.
   uint64_t success = 0;            // Bodies that moved at least one thread.
   uint64_t moved_tasks = 0;        // Threads moved by those bodies.
   uint64_t migrations = 0;
@@ -37,9 +38,9 @@ BalanceProfile ProfileFromStats(const SchedStats& before, const SchedStats& afte
 std::string ProfileReport(const BalanceProfile& profile);
 
 /// The decision-verdict table of the schedstat report: one row per way an
-// Algorithm-1 invocation can end (moved threads, balanced already, not the
-// designated core, interval not due, pinned, nothing movable), with counts
-// and the share of all invocations.
+// Algorithm-1 invocation can end (moved threads, balanced already, pinned or
+// nothing movable, nothing stealable, interval not due, not the designated
+// core), with counts and the share of all invocations.
 std::string BalanceVerdictTable(const BalanceProfile& profile);
 
 // Counts, per initiator cpu, the balancing events recorded in [t0, t1) and

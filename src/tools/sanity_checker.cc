@@ -94,6 +94,8 @@ void SanityChecker::Confirm(CpuId idle_cpu, Time detected_at, const SchedStats& 
   const SchedStats& after = sched.stats();
   v.balance_calls = after.balance_calls - stats_before.balance_calls;
   v.balance_below_local = after.balance_below_local - stats_before.balance_below_local;
+  v.balance_nothing_stealable =
+      after.balance_nothing_stealable - stats_before.balance_nothing_stealable;
   v.balance_designation_skips =
       after.balance_designation_skips - stats_before.balance_designation_skips;
   v.migrations = after.TotalMigrations() - stats_before.TotalMigrations();
@@ -104,15 +106,17 @@ void SanityChecker::Confirm(CpuId idle_cpu, Time detected_at, const SchedStats& 
 }
 
 std::string SanityChecker::Report(const Violation& v) {
-  char buf[256];
+  char buf[384];
   std::snprintf(buf, sizeof(buf),
                 "invariant violation: core %d idle since before %s while core %d has %d "
                 "runnable threads (confirmed %s; window: %llu balance calls, %llu "
-                "below-local, %llu designation skips, %llu migrations)\n",
+                "below-local, %llu nothing stealable, %llu designation skips, %llu "
+                "migrations)\n",
                 v.idle_cpu, FormatTime(v.detected_at).c_str(), v.overloaded_cpu,
                 v.overloaded_nr_running, FormatTime(v.confirmed_at).c_str(),
                 static_cast<unsigned long long>(v.balance_calls),
                 static_cast<unsigned long long>(v.balance_below_local),
+                static_cast<unsigned long long>(v.balance_nothing_stealable),
                 static_cast<unsigned long long>(v.balance_designation_skips),
                 static_cast<unsigned long long>(v.migrations));
   std::string out = buf;

@@ -51,6 +51,7 @@ class SanityChecker {
     // Scheduler-stats delta over the confirmation window (profile).
     uint64_t balance_calls = 0;
     uint64_t balance_below_local = 0;
+    uint64_t balance_nothing_stealable = 0;
     uint64_t balance_designation_skips = 0;
     uint64_t migrations = 0;
     // Machine-wide latency digest at confirmation, if a provider was set.

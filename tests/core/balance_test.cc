@@ -120,6 +120,53 @@ TEST(BalanceTasksetTest, AffinityFailureSetsImbalancedAndRetries) {
   EXPECT_GT(sched.stats().balance_affinity_retries, 0u);
 }
 
+// ---- Nothing-stealable screen -------------------------------------------------------
+
+// Every other core runs one thread with nothing queued behind it: the
+// newly idle core has nothing to steal at any level, so every pass returns
+// before the group-load fold and reads no runqueue load at all.
+TEST(BalanceScreenTest, NothingQueuedSkipsTheLoadFold) {
+  Topology topo = Topology::Flat(2, 2, 1);
+  NullClient client;
+  Scheduler sched(topo, SchedFeatures::Stock(), SchedTunables::ForCpus(4), &client);
+  for (CpuId c = 1; c < 4; ++c) {
+    ThreadParams p;
+    p.parent_cpu = c;
+    p.affinity = CpuSet::Single(c);
+    sched.CreateThread(0, p);
+    sched.PickNext(0, c);
+  }
+  SchedStats before = sched.stats();
+  EXPECT_EQ(sched.PickNext(Milliseconds(50), 0), kInvalidThread);
+  const SchedStats& after = sched.stats();
+  uint64_t calls = after.balance_calls - before.balance_calls;
+  EXPECT_EQ(calls, sched.Domains(0).domains.size());
+  EXPECT_EQ(after.balance_nothing_stealable - before.balance_nothing_stealable, calls);
+  EXPECT_EQ(after.balance_found_busiest, before.balance_found_busiest);
+  EXPECT_EQ(after.balance_below_local, before.balance_below_local);
+  EXPECT_EQ(after.balance_failures, before.balance_failures);
+  EXPECT_EQ(after.rq_load_fills, before.rq_load_fills);
+}
+
+// One thread queued behind an empty curr slot (woken, not yet picked) is
+// stealable as far as the screen knows, so the pass runs in full. The
+// thread is pinned, so the full pass ends in an affinity retry; a screen
+// that missed this case would skip it, and the imbalanced mark with it.
+TEST(BalanceScreenTest, OneQueuedBehindEmptyCurrIsNotScreened) {
+  Topology topo = Topology::Flat(1, 2, 1);
+  NullClient client;
+  Scheduler sched(topo, SchedFeatures::Stock(), SchedTunables::ForCpus(2), &client);
+  ThreadParams p;
+  p.parent_cpu = 1;
+  p.affinity = CpuSet::Single(1);
+  sched.CreateThread(0, p);
+  ASSERT_EQ(sched.NrRunning(1), 1);
+  ASSERT_EQ(sched.CurrentThread(1), kInvalidThread);
+  EXPECT_EQ(sched.PickNext(Milliseconds(50), 0), kInvalidThread);
+  EXPECT_EQ(sched.stats().balance_nothing_stealable, 0u);
+  EXPECT_GT(sched.stats().balance_affinity_retries, 0u);
+}
+
 // ---- Cache-hot filtering -----------------------------------------------------------
 
 TEST(BalanceCacheHotTest, PrefersColdThreads) {

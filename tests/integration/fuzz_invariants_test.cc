@@ -15,6 +15,9 @@
 //    idle while another runqueue holds a thread it could steal.
 //  * Busy-node wake placement — the argmin of (nr_running, load) matches a
 //    one-pass lexicographic scan (WakeFallbackMatchesLexicographicScan).
+//  * Balance screen — a balancing pass returns before the load fold exactly
+//    when no considered cpu but the caller has a queued thread, and such a
+//    pass moves nothing (BalanceScreenMatchesQueuedScan).
 //
 // Seeding: the base seed comes from WC_FUZZ_SEED (env) so a CI failure is
 // reproducible locally; every failure message carries the repro command.
@@ -475,6 +478,185 @@ TEST(FuzzInvariants, WakeFallbackMatchesLexicographicScan) {
   }
   EXPECT_GT(fallbacks, 1000) << "too few busy-node wakes to mean anything";
   EXPECT_GT(full_ties, 0) << "no full (nr_running, load) tie: the tie rule went untested";
+}
+
+// ---- Balance screen differential ---------------------------------------------
+//
+// CFS behind a policy that wraps the three balancing hooks and watches the
+// trace: every Algorithm-1 pass emits one OnConsidered before anything else,
+// so each one opens a record there, re-derived from public state only. The
+// considered set must be the online members of one of the caller's domains,
+// and the pass has something to steal iff some considered cpu other than the
+// caller has a queued entity. The record closes at the next pass or when the
+// hook returns (balancing never nests: kicks are deferred events). A pass
+// the scheduler screened (balance_nothing_stealable moved by one) must have
+// had nothing to steal and must have migrated nothing; every other pass must
+// have had something to steal.
+class ScreenOraclePolicy : public CfsPolicy, public TraceSink {
+ public:
+  void PeriodicBalance(Time now, CpuId cpu) override {
+    in_hook_ = true;
+    sched_->CfsPeriodicBalance(now, cpu);
+    ClosePass();
+    in_hook_ = false;
+  }
+  void NewIdleBalance(Time now, CpuId cpu) override {
+    in_hook_ = true;
+    sched_->CfsIdleBalance(now, cpu);
+    ClosePass();
+    in_hook_ = false;
+  }
+  void NohzBalance(Time now, CpuId cpu) override {
+    in_hook_ = true;
+    sched_->CfsNohzBalance(now, cpu);
+    ClosePass();
+    in_hook_ = false;
+  }
+
+  void OnConsidered(Time now, CpuId initiator, const CpuSet& considered,
+                    ConsideredKind kind) override {
+    if (kind == ConsideredKind::kWakeup) {
+      return;
+    }
+    if (!in_hook_) {
+      Report("balancing pass of cpu " + std::to_string(initiator) +
+             " at t=" + std::to_string(now) + " ran outside the three balance hooks");
+    }
+    ClosePass();
+    OpenPass(now, initiator, considered);
+  }
+
+  void OnMigration(Time now, ThreadId tid, CpuId from, CpuId to,
+                   MigrationReason reason) override {
+    (void)now;
+    (void)tid;
+    (void)from;
+    (void)to;
+    if (open_ && reason != MigrationReason::kHotplug) {
+      pass_migrations_ += 1;
+    }
+  }
+
+  int screened() const { return screened_; }
+  int unscreened() const { return unscreened_; }
+  int mismatches() const { return mismatches_; }
+
+ private:
+  void OpenPass(Time now, CpuId cpu, const CpuSet& considered) {
+    const Scheduler& sched = *sched_;
+    bool is_domain = false;
+    for (const SchedDomain& sd : sched.Domains(cpu).domains) {
+      CpuSet online_members;
+      for (const SchedGroup& grp : sd.groups) {
+        online_members |= grp.cpus & sched.OnlineCpus();
+      }
+      is_domain = is_domain || online_members == considered;
+    }
+    if (!is_domain) {
+      Report("considered set " + considered.ToString() + " of cpu " + std::to_string(cpu) +
+             " at t=" + std::to_string(now) + " is no domain's online members");
+    }
+    // From the queues themselves, not the nr mirror the screen reads.
+    bool any_queued = false;
+    for (CpuId c : considered) {
+      if (c == cpu) {
+        continue;
+      }
+      bool queued = false;
+      sched.ForEachQueuedOn(c, [&](const SchedEntity*) {
+        queued = true;
+        return false;
+      });
+      any_queued = any_queued || queued;
+    }
+    open_ = true;
+    pass_cpu_ = cpu;
+    pass_now_ = now;
+    pass_stealable_ = any_queued;
+    pass_screened_before_ = sched.stats().balance_nothing_stealable;
+    pass_migrations_ = 0;
+  }
+
+  void ClosePass() {
+    if (!open_) {
+      return;
+    }
+    open_ = false;
+    uint64_t screened = sched_->stats().balance_nothing_stealable - pass_screened_before_;
+    std::string where = "pass of cpu " + std::to_string(pass_cpu_) +
+                        " at t=" + std::to_string(pass_now_);
+    if (screened > 1) {
+      Report(where + " bumped balance_nothing_stealable more than once");
+    } else if (screened == 1) {
+      screened_ += 1;
+      if (pass_stealable_) {
+        Report(where + " was screened, but a considered cpu holds a queued thread");
+      }
+      if (pass_migrations_ != 0) {
+        Report(where + " was screened, but migrated " + std::to_string(pass_migrations_));
+      }
+    } else {
+      unscreened_ += 1;
+      if (!pass_stealable_) {
+        Report(where + " folded loads, but no considered cpu holds a queued thread");
+      }
+    }
+  }
+
+  void Report(const std::string& what) {
+    if (++mismatches_ == 1) {  // Report the first; the run asserts the count.
+      ADD_FAILURE() << what;
+    }
+  }
+
+  bool in_hook_ = false;
+  bool open_ = false;
+  CpuId pass_cpu_ = kInvalidCpu;
+  Time pass_now_ = 0;
+  bool pass_stealable_ = false;
+  uint64_t pass_screened_before_ = 0;
+  int pass_migrations_ = 0;
+  int screened_ = 0;
+  int unscreened_ = 0;
+  int mismatches_ = 0;
+};
+
+TEST(FuzzInvariants, BalanceScreenMatchesQueuedScan) {
+  uint64_t base = BaseSeed();
+  int screened = 0;
+  int unscreened = 0;
+  for (int run = 0; run < kRuns; ++run) {
+    for (bool fixed : {false, true}) {
+      uint64_t seed = base + 88000ULL + static_cast<uint64_t>(run);
+      SCOPED_TRACE(ReproCommand(seed) + (fixed ? " (fixed features)" : " (stock features)"));
+      uint64_t sm = seed;
+      Rng rng(SplitMix64(sm));
+      Topology topo = RandomTopology(rng);
+      Simulator::Options opts;
+      opts.features = RandomFeatures(rng);
+      opts.features.fix_group_imbalance = fixed;
+      opts.features.fix_missing_domains = fixed;
+      opts.seed = seed;
+      ScreenOraclePolicy oracle;
+      opts.policy = &oracle;
+      Simulator sim(topo, opts, &oracle);
+      // About as many threads as cpus, so new-idle passes both find nothing
+      // queued and find something (tests/core/balance_test.cc pins the rare
+      // arm: one queued thread behind an empty curr slot).
+      int n_cores = topo.n_cores();
+      SpawnRandomMix(sim, rng, n_cores + static_cast<int>(rng.NextInRange(0, 8)));
+      Rng hotplug_rng(SplitMix64(sm));
+      if (rng.NextBool(0.5)) {
+        sim.After(kHotplugInterval / 2, RearmingHotplug{&sim, &hotplug_rng});
+      }
+      sim.Run(Milliseconds(100));
+      ASSERT_EQ(oracle.mismatches(), 0);
+      screened += oracle.screened();
+      unscreened += oracle.unscreened();
+    }
+  }
+  EXPECT_GT(screened, 1000) << "too few screened passes to mean anything";
+  EXPECT_GT(unscreened, 1000) << "too few folded passes to mean anything";
 }
 
 // ---- Streaming-parity invariant ---------------------------------------------

@@ -88,6 +88,13 @@ TEST(BenchNumericFlagsDeathTest, RangeViolationsAreHardErrors) {
               "an unsigned integer");
   EXPECT_EXIT(ParseU64Flag("seed", "1.5", 0), ::testing::ExitedWithCode(2),
               "an unsigned integer");
+  // strtoull skips leading space and then accepts a sign: " -1" used to wrap
+  // to 2^64-1. Only plain digits that fit in 64 bits are accepted.
+  for (const char* bad : {" -1", " 5", "5 ", "+5", "99999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EXIT(ParseU64Flag("seed", bad, 0), ::testing::ExitedWithCode(2),
+                "for --seed: expected an unsigned integer");
+  }
   EXPECT_EXIT(ParseDoubleFlag("scale", "nan", 1, 0, 10), ::testing::ExitedWithCode(2),
               "a number in");
   EXPECT_EXIT(ParseDoubleFlag("scale", "11", 1, 0, 10), ::testing::ExitedWithCode(2),

@@ -19,12 +19,15 @@ TEST(ProfilerTest, StatsDeltaProfile) {
   after.balance_designation_skips = 20;
   after.balance_affinity_retries = 2;
   after.balance_failures = 1;
+  after.balance_nothing_stealable = 5;
   after.migrations_idle = 3;
   after.wakeups = 100;
   after.wakeups_on_busy = 40;
+  before.balance_nothing_stealable = 2;
   BalanceProfile p = ProfileFromStats(before, after, 0, Milliseconds(20));
   EXPECT_EQ(p.balance_calls, 10u);
   EXPECT_EQ(p.below_local, 6u);
+  EXPECT_EQ(p.nothing_stealable, 3u);
   EXPECT_EQ(p.designation_skips, 20u);
   EXPECT_EQ(p.migrations, 3u);
   EXPECT_EQ(p.wakeups_on_busy, 40u);
@@ -38,6 +41,26 @@ TEST(ProfilerTest, ReportIsHumanReadable) {
   std::string report = ProfileReport(p);
   EXPECT_NE(report.find("balance calls"), std::string::npos);
   EXPECT_NE(report.find("7"), std::string::npos);
+}
+
+TEST(ProfilerTest, ReportAndVerdictTableShowScreenedPasses) {
+  SchedStats before;
+  SchedStats after;
+  after.balance_calls = 12;
+  after.balance_success = 2;
+  after.balance_below_local = 1;
+  after.balance_failures = 1;
+  after.balance_nothing_stealable = 8;
+  BalanceProfile p = ProfileFromStats(before, after, 0, Milliseconds(20));
+  std::string report = ProfileReport(p);
+  EXPECT_NE(report.find("nothing stealable (screened)    8"), std::string::npos) << report;
+  std::string table = BalanceVerdictTable(p);
+  // Every body ends in exactly one verdict: 2 + 1 + 1 + 8 = the 12 calls.
+  EXPECT_NE(table.find("nothing stealable (screened)              8  ( 66.7%)"),
+            std::string::npos)
+      << table;
+  EXPECT_NE(table.find("total invocations                        12"), std::string::npos)
+      << table;
 }
 
 TEST(ProfilerTest, ConsideredSummaryGroupsByInitiator) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "src/topo/topology.h"
 #include "src/workloads/nas.h"
@@ -116,6 +118,24 @@ TEST(SanityCheckerTest, FlagsLongTermViolationFromMissingDomainsBug) {
   EXPECT_GE(v.overloaded_nr_running, 2);
   // The profile shows balancing activity that failed to resolve it.
   EXPECT_FALSE(SanityChecker::Report(v).empty());
+}
+
+TEST(SanityCheckerTest, ReportCarriesTheWholeVerdictWindow) {
+  SanityChecker::Violation v;
+  v.idle_cpu = 63;
+  v.overloaded_cpu = 62;
+  v.overloaded_nr_running = 2048;
+  v.detected_at = Seconds(100000);
+  v.confirmed_at = Seconds(100000) + Milliseconds(100);
+  v.balance_calls = UINT64_MAX;
+  v.balance_below_local = UINT64_MAX;
+  v.balance_nothing_stealable = 7;
+  v.balance_designation_skips = UINT64_MAX;
+  v.migrations = UINT64_MAX;
+  std::string report = SanityChecker::Report(v);
+  EXPECT_NE(report.find(", 7 nothing stealable, "), std::string::npos) << report;
+  // Widest counters still fit: the line is not truncated.
+  EXPECT_NE(report.find("18446744073709551615 migrations)\n"), std::string::npos) << report;
 }
 
 TEST(SanityCheckerTest, NoViolationWithAllFixes) {
