@@ -2,6 +2,7 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
@@ -117,6 +118,7 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv,
 }
 
 // Signed integer in [min_value, max_value]; `def` when the flag was not given.
+// strtoll skips leading space, so " 3" is refused here, as ParseU64Flag does.
 inline long long ParseIntFlag(const char* flag, const std::string& value, long long def,
                               long long min_value, long long max_value) {
   if (value.empty()) {
@@ -125,7 +127,8 @@ inline long long ParseIntFlag(const char* flag, const std::string& value, long l
   errno = 0;
   char* end = nullptr;
   long long v = std::strtoll(value.c_str(), &end, 10);
-  if (errno != 0 || end != value.c_str() + value.size() || v < min_value || v > max_value) {
+  if (std::isspace(static_cast<unsigned char>(value[0])) || errno != 0 ||
+      end != value.c_str() + value.size() || v < min_value || v > max_value) {
     char expected[96];
     std::snprintf(expected, sizeof(expected), "an integer in [%lld, %lld]", min_value,
                   max_value);
@@ -153,6 +156,7 @@ inline uint64_t ParseU64Flag(const char* flag, const std::string& value, uint64_
 }
 
 // Finite double in [min_value, max_value]; `def` when the flag was not given.
+// A leading space is refused, as in ParseIntFlag.
 inline double ParseDoubleFlag(const char* flag, const std::string& value, double def,
                               double min_value, double max_value) {
   if (value.empty()) {
@@ -161,8 +165,9 @@ inline double ParseDoubleFlag(const char* flag, const std::string& value, double
   errno = 0;
   char* end = nullptr;
   double v = std::strtod(value.c_str(), &end);
-  if (errno != 0 || end != value.c_str() + value.size() || !std::isfinite(v) ||
-      v < min_value || v > max_value) {
+  if (std::isspace(static_cast<unsigned char>(value[0])) || errno != 0 ||
+      end != value.c_str() + value.size() || !std::isfinite(v) || v < min_value ||
+      v > max_value) {
     char expected[96];
     std::snprintf(expected, sizeof(expected), "a number in [%g, %g]", min_value, max_value);
     BadFlagValue(flag, value, expected);

@@ -15,6 +15,7 @@
 #include "src/core/scheduler.h"
 #include "src/sim/simulator.h"
 #include "src/simkit/event_queue.h"
+#include "src/tools/sweep/trace_hash.h"
 #include "src/topo/topology.h"
 
 namespace wcores {
@@ -413,6 +414,45 @@ void BM_NohzBalanceSweep(benchmark::State& state) {
   state.SetLabel("64 cores, 60 idle, load pinned to 4");
 }
 BENCHMARK(BM_NohzBalanceSweep);
+
+// ---- Considered sets ----------------------------------------------------------
+
+// One balance pass's considered event on a fixed n-cpu set, folded into the
+// determinism digest: the tag/time/initiator/kind words, then one multiply
+// per cpu id over the word-walk iterator (Fnv1a::FoldCpus). The cost grows
+// with n; nothing is cached between calls.
+void BM_TraceHashConsidered(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  CpuSet set = CpuSet::FirstN(n);
+  TraceHashSink sink;
+  Time now = 0;
+  for (auto _ : state) {
+    sink.OnConsidered(now, 0, set, ConsideredKind::kIdleBalance);
+    ++now;
+  }
+  benchmark::DoNotOptimize(sink.digest());
+  state.SetLabel(std::to_string(n) + "-cpu balance set");
+}
+BENCHMARK(BM_TraceHashConsidered)->Arg(8)->Arg(64);
+
+// A range-for over n cpus spread evenly across all four words of the set.
+void BM_CpuSetIterate(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  CpuSet set;
+  for (int i = 0; i < n; ++i) {
+    set.Set(i * (kMaxCpus / n));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(set);
+    int sum = 0;
+    for (CpuId c : set) {
+      sum += c;
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetLabel(std::to_string(n) + " cpus over 4 words");
+}
+BENCHMARK(BM_CpuSetIterate)->Arg(64);
 
 // One schedule+fire round-trip through the event queue: the per-event
 // floor of everything the simulator does. This is the dispatch cost the

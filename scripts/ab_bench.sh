@@ -12,7 +12,8 @@
 #
 # Metrics:
 #   BM_NewidlePass, BM_NewidlePassNothingQueued, BM_SimulatedSecond,
-#   BM_WakeupPlacementBusyNode/{4,32}    (micro_sched_ops real_time)
+#   BM_WakeupPlacementBusyNode/{4,32}, BM_TraceHashConsidered/{8,64},
+#   BM_CpuSetIterate/64                  (micro_sched_ops real_time)
 #   random/99-4 us/event                 (sweep_driver: wall_ms*1000/sim_events)
 #
 # Usage: scripts/ab_bench.sh [--baseline=REV] [--pairs=N] [--min-time=S] [--smoke]
@@ -44,7 +45,7 @@ for arg in "$@"; do
 done
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
-FILTER='BM_NewidlePass$|BM_NewidlePassNothingQueued|BM_SimulatedSecond|BM_WakeupPlacementBusyNode'
+FILTER='BM_NewidlePass$|BM_NewidlePassNothingQueued|BM_SimulatedSecond|BM_WakeupPlacementBusyNode|BM_TraceHashConsidered|BM_CpuSetIterate'
 
 echo "==== [ab] build HEAD (release preset) ===="
 cmake --preset release >/dev/null

@@ -180,24 +180,42 @@ class CpuSet {
   // Renders like "0-3,8,10-11".
   std::string ToString() const;
 
-  // Iteration support: for (CpuId c : set) { ... }
+  // Iteration support: for (CpuId c : set) { ... }, in ascending cpu order.
+  // The iterator walks a copy of one word at a time, clearing the lowest
+  // set bit per step, so each step is a ctz instead of a Next() re-scan. It
+  // reads each word when it reaches it: a loop must not change the set it
+  // walks (none does).
   class Iterator {
    public:
-    Iterator(const CpuSet* set, CpuId cpu) : set_(set), cpu_(cpu) {}
-    CpuId operator*() const { return cpu_; }
-    Iterator& operator++() {
-      cpu_ = set_->Next(cpu_);
+    // Positioned at the first member in word `w` or later; (kWords, 0) is end.
+    constexpr Iterator(const CpuSet* set, int w) : set_(set), word_(w), bits_(0) {
+      for (; word_ < kWords; ++word_) {
+        bits_ = set_->words_[word_];
+        if (bits_ != 0) {
+          break;
+        }
+      }
+    }
+    constexpr CpuId operator*() const { return word_ * 64 + __builtin_ctzll(bits_); }
+    constexpr Iterator& operator++() {
+      bits_ &= bits_ - 1;
+      while (bits_ == 0 && ++word_ < kWords) {
+        bits_ = set_->words_[word_];
+      }
       return *this;
     }
-    bool operator!=(const Iterator& other) const { return cpu_ != other.cpu_; }
+    constexpr bool operator!=(const Iterator& other) const {
+      return word_ != other.word_ || bits_ != other.bits_;
+    }
 
    private:
     const CpuSet* set_;
-    CpuId cpu_;
+    int word_;       // Index of the word being walked; kWords at end.
+    uint64_t bits_;  // Its members not yet yielded; nonzero unless at end.
   };
 
-  Iterator begin() const { return Iterator(this, First()); }
-  Iterator end() const { return Iterator(this, kInvalidCpu); }
+  constexpr Iterator begin() const { return Iterator(this, 0); }
+  constexpr Iterator end() const { return Iterator(this, kWords); }
 
  private:
   static constexpr int kWords = kMaxCpus / 64;

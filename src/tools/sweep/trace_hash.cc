@@ -32,9 +32,7 @@ void TraceHashSink::OnConsidered(Time now, CpuId initiator, const CpuSet& consid
   Tag(kTagConsidered, now);
   fnv_.Mix(static_cast<uint64_t>(initiator));
   fnv_.Mix(static_cast<uint64_t>(kind));
-  for (CpuId c : considered) {
-    fnv_.Mix(static_cast<uint64_t>(c));
-  }
+  fnv_.MixCpus(considered);
 }
 
 void TraceHashSink::OnMigration(Time now, ThreadId tid, CpuId from, CpuId to,

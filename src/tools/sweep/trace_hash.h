@@ -24,6 +24,9 @@ class Fnv1a {
  public:
   static constexpr uint64_t kOffset = 0xcbf29ce484222325ULL;
   static constexpr uint64_t kPrime = 0x100000001b3ULL;
+  // prime^8 mod 2^64: one round on a byte followed by seven zero rounds.
+  static constexpr uint64_t kPrime8 =
+      kPrime * kPrime * kPrime * kPrime * kPrime * kPrime * kPrime * kPrime;
 
   void Mix(uint64_t value) {
     // Canonically: eight rounds of h = (h ^ byte) * prime, bytes LSB-first.
@@ -53,6 +56,20 @@ class Fnv1a {
     hash_ = h * kZeroTail[8 - bytes];
   }
   void MixDouble(double value);
+
+  // Mix(c) for every member c of `set`, in ascending order.
+  void MixCpus(const CpuSet& set) { hash_ = FoldCpus(hash_, set); }
+
+  // The digest `h` becomes after Mix(c) of every member c of `set`. Cpu ids
+  // are below kMaxCpus = 256, so Mix(c) is one round on byte c and seven
+  // zero rounds: h = (h ^ c) * kPrime8, one multiply per id.
+  static_assert(kMaxCpus <= 256, "FoldCpus folds a cpu id as one byte");
+  static uint64_t FoldCpus(uint64_t h, const CpuSet& set) {
+    for (CpuId c : set) {
+      h = (h ^ static_cast<uint64_t>(c)) * kPrime8;
+    }
+    return h;
+  }
 
   uint64_t digest() const { return hash_; }
 

@@ -18,6 +18,8 @@
 //  * Balance screen — a balancing pass returns before the load fold exactly
 //    when no considered cpu but the caller has a queued thread, and such a
 //    pass moves nothing (BalanceScreenMatchesQueuedScan).
+//  * Trace digest — the one-multiply considered-set fold equals a per-id
+//    Mix fold over the whole run (TraceHashMatchesPerIdMix).
 //
 // Seeding: the base seed comes from WC_FUZZ_SEED (env) so a CI failure is
 // reproducible locally; every failure message carries the repro command.
@@ -36,7 +38,9 @@
 #include "src/telemetry/stream/stream_sink.h"
 #include "src/tools/recorder.h"
 #include "src/tools/sanity_checker.h"
+#include "src/tools/sweep/trace_hash.h"
 #include "src/topo/topology.h"
+#include "tests/tools/reference_hash_sink.h"
 
 namespace wcores {
 namespace {
@@ -657,6 +661,48 @@ TEST(FuzzInvariants, BalanceScreenMatchesQueuedScan) {
   }
   EXPECT_GT(screened, 1000) << "too few screened passes to mean anything";
   EXPECT_GT(unscreened, 1000) << "too few folded passes to mean anything";
+}
+
+// ---- Considered-set fold differential ----------------------------------------
+//
+// TraceHashSink folds a considered set with one multiply per cpu id over the
+// word-walk iterator; ReferenceHashSink folds every id with its own
+// Fnv1a::Mix over a First()/Next() walk. Both see the identical callback
+// stream through MultiSink, so their digests must be equal at the end of
+// every run. Odd runs add hotplug churn: each toggle rebuilds the domains,
+// so the balance sets change mid-run.
+TEST(FuzzInvariants, TraceHashMatchesPerIdMix) {
+  uint64_t base = BaseSeed();
+  for (int run = 0; run < kRuns; ++run) {
+    for (bool fixed : {false, true}) {
+      uint64_t seed = base + 55000ULL + static_cast<uint64_t>(run);
+      SCOPED_TRACE(ReproCommand(seed) + (fixed ? " (fixed features)" : " (stock features)"));
+      uint64_t sm = seed;
+      Rng rng(SplitMix64(sm));
+      Topology topo = RandomTopology(rng);
+      Simulator::Options opts;
+      opts.features = RandomFeatures(rng);
+      opts.features.fix_group_imbalance = fixed;
+      opts.features.fix_group_construction = fixed;
+      opts.features.fix_overload_wakeup = fixed;
+      opts.features.fix_missing_domains = fixed;
+      opts.seed = seed;
+      TraceHashSink hash;
+      ReferenceHashSink reference;
+      MultiSink multi;
+      multi.Add(&hash);
+      multi.Add(&reference);
+      Simulator sim(topo, opts, &multi);
+      SpawnRandomMix(sim, rng, static_cast<int>(rng.NextInRange(6, 48)));
+      Rng hotplug_rng(SplitMix64(sm));
+      if (run % 2 == 1) {
+        sim.After(kHotplugInterval / 2, RearmingHotplug{&sim, &hotplug_rng});
+      }
+      sim.Run(Milliseconds(100));
+      ASSERT_EQ(hash.events(), reference.events());
+      ASSERT_EQ(hash.digest(), reference.digest());
+    }
+  }
 }
 
 // ---- Streaming-parity invariant ---------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "src/simkit/rng.h"
 
@@ -172,6 +173,54 @@ TEST(CpuSetTest, RandomizedAgainstStdSet) {
     iterated.push_back(c);
   }
   EXPECT_EQ(iterated, std::vector<int>(mirror.begin(), mirror.end()));
+}
+
+std::vector<CpuId> RangeFor(const CpuSet& s) {
+  std::vector<CpuId> out;
+  for (CpuId c : s) {
+    out.push_back(c);
+  }
+  return out;
+}
+
+std::vector<CpuId> FirstNextWalk(const CpuSet& s) {
+  std::vector<CpuId> out;
+  for (CpuId c = s.First(); c != kInvalidCpu; c = s.Next(c)) {
+    out.push_back(c);
+  }
+  return out;
+}
+
+// The word-at-a-time iterator yields exactly the First()/Next() sequence.
+TEST(CpuSetTest, IteratorMatchesFirstNextWalk) {
+  CpuSet full;
+  full.SetAll(kMaxCpus);
+  CpuSet word3;  // Members only in the last word, first and last bit too.
+  for (CpuId c : {192, 200, 255}) {
+    word3.Set(c);
+  }
+  std::vector<CpuSet> sets = {CpuSet(), CpuSet::Single(255), CpuSet::Single(0), full, word3,
+                              CpuSet::Single(192)};
+  Rng rng(4);
+  for (int i = 0; i < 200; ++i) {
+    CpuSet s;
+    double density = rng.NextDouble();
+    for (CpuId c = 0; c < kMaxCpus; ++c) {
+      if (rng.NextBool(density)) {
+        s.Set(c);
+      }
+    }
+    sets.push_back(s);
+  }
+  for (const CpuSet& s : sets) {
+    SCOPED_TRACE(s.ToString());
+    std::vector<CpuId> want = FirstNextWalk(s);
+    EXPECT_EQ(RangeFor(s), want);
+    EXPECT_EQ(static_cast<int>(want.size()), s.Count());
+  }
+  EXPECT_TRUE(RangeFor(CpuSet()).empty());
+  EXPECT_EQ(RangeFor(word3), (std::vector<CpuId>{192, 200, 255}));
+  EXPECT_EQ(RangeFor(full).size(), static_cast<size_t>(kMaxCpus));
 }
 
 }  // namespace

@@ -64,6 +64,7 @@ TEST(BenchNumericFlags, ParsesValidValues) {
   EXPECT_EQ(ParseIntFlag("threads", "", 8, 1, 64), 8);  // Empty = default.
   EXPECT_EQ(ParseIntFlag("threads", "16", 8, 1, 64), 16);
   EXPECT_EQ(ParseIntFlag("delta", "-3", 0, -10, 10), -3);
+  EXPECT_EQ(ParseDoubleFlag("delta", "-0.5", 0, -1.0, 1.0), -0.5);
   EXPECT_EQ(ParseU64Flag("seed", "", 42u), 42u);
   EXPECT_EQ(ParseU64Flag("seed", "18446744073709551615", 0), UINT64_MAX);
   EXPECT_EQ(ParseDoubleFlag("scale", "", 0.25, 0.0, 10.0), 0.25);
@@ -94,6 +95,18 @@ TEST(BenchNumericFlagsDeathTest, RangeViolationsAreHardErrors) {
     SCOPED_TRACE(bad);
     EXPECT_EXIT(ParseU64Flag("seed", bad, 0), ::testing::ExitedWithCode(2),
                 "for --seed: expected an unsigned integer");
+  }
+  // strtoll and strtod skip leading space too: " 3" must not read as 3, and
+  // " -1" is refused even where negative values are in range.
+  for (const char* bad : {" 3", "\t3", " -1"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EXIT(ParseIntFlag("hotplug", bad, 0, -10, 10), ::testing::ExitedWithCode(2),
+                "for --hotplug: expected an integer in \\[-10, 10\\]");
+  }
+  for (const char* bad : {" 0.01", "\t0.01", " -1"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EXIT(ParseDoubleFlag("duration", bad, 1, -10, 10), ::testing::ExitedWithCode(2),
+                "for --duration: expected a number in");
   }
   EXPECT_EXIT(ParseDoubleFlag("scale", "nan", 1, 0, 10), ::testing::ExitedWithCode(2),
               "a number in");

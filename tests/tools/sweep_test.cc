@@ -3,9 +3,14 @@
 // determinism properties live in tests/integration/determinism_test.cc.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
+#include "src/simkit/rng.h"
 #include "src/tools/sweep/scenario.h"
 #include "src/tools/sweep/sweep.h"
 #include "src/tools/sweep/trace_hash.h"
+#include "tests/tools/reference_hash_sink.h"
 
 namespace wcores {
 namespace {
@@ -62,6 +67,112 @@ TEST(TraceHashSink, CallbackKindIsTagged) {
   TraceHashSink nr;
   nr.OnNrRunning(10, 3, 0);
   EXPECT_NE(enter.digest(), nr.digest());
+}
+
+// ---- Considered-set fold: one multiply per id vs. per-id Mix ----------------
+
+// FNV-1a by its definition: eight rounds over the value's bytes, LSB first,
+// with no zero-run collapse. Lets a test start from any digest.
+uint64_t CanonicalMix(uint64_t h, uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    h = (h ^ ((value >> (8 * i)) & 0xff)) * Fnv1a::kPrime;
+  }
+  return h;
+}
+
+// A set whose density and word span vary with the draw: each of the four
+// 64-cpu words is empty, sparse, dense or full.
+CpuSet RandomSet(Rng& rng) {
+  CpuSet s;
+  for (int w = 0; w < kMaxCpus / 64; ++w) {
+    uint64_t shape = rng.NextBelow(4);
+    for (int b = 0; b < 64; ++b) {
+      bool in = shape == 3 || (shape == 2 && rng.NextBool(0.7)) ||
+                (shape == 1 && rng.NextBool(0.05));
+      if (in) {
+        s.Set(64 * w + b);
+      }
+    }
+  }
+  return s;
+}
+
+std::vector<CpuSet> EdgeSets() {
+  CpuSet all;
+  all.SetAll(kMaxCpus);
+  return {CpuSet(), CpuSet::Single(0), CpuSet::Single(255), all};
+}
+
+TEST(Fnv1a, FoldCpusMatchesCanonicalFoldForEveryLowByte) {
+  Rng rng(18);
+  std::vector<CpuSet> sets = EdgeSets();
+  for (int i = 0; i < 24; ++i) {
+    sets.push_back(RandomSet(rng));
+  }
+  for (const CpuSet& set : sets) {
+    SCOPED_TRACE(set.ToString());
+    for (uint64_t l = 0; l < 256; ++l) {
+      uint64_t h = (rng.Next() & ~uint64_t{0xff}) | l;
+      uint64_t want = h;
+      for (CpuId c = set.First(); c != kInvalidCpu; c = set.Next(c)) {
+        want = CanonicalMix(want, static_cast<uint64_t>(c));
+      }
+      ASSERT_EQ(Fnv1a::FoldCpus(h, set), want) << "low byte " << l;
+    }
+  }
+}
+
+// Considered events of every kind, interleaved with the other callbacks:
+// the sink and the per-id reference must agree after every event, across
+// all 256 low bytes of the digest a fold starts from.
+TEST(TraceHashSink, ConsideredFoldMatchesPerIdMix) {
+  Rng rng(7919);
+  std::vector<CpuSet> balance_sets = EdgeSets();
+  while (balance_sets.size() < 200) {
+    balance_sets.push_back(RandomSet(rng));
+  }
+  const ConsideredKind kinds[] = {ConsideredKind::kPeriodicBalance,
+                                  ConsideredKind::kIdleBalance, ConsideredKind::kNohzBalance,
+                                  ConsideredKind::kWakeup};
+  TraceHashSink sink;
+  ReferenceHashSink ref;
+  std::set<uint64_t> low_bytes;  // Of the digest a set's fold starts from.
+  Time now = 0;
+  for (int i = 0; i < 20000; ++i) {
+    now += static_cast<Time>(rng.NextBelow(5000));
+    CpuId cpu = static_cast<CpuId>(rng.NextBelow(kMaxCpus));
+    switch (rng.NextBelow(4)) {
+      case 0:
+        sink.OnSwitchIn(now, cpu, 7, now / 3);
+        ref.OnSwitchIn(now, cpu, 7, now / 3);
+        break;
+      case 1: {
+        double load = rng.NextDouble();
+        sink.OnLoad(now, cpu, load);
+        ref.OnLoad(now, cpu, load);
+        break;
+      }
+      default: {
+        ConsideredKind kind = kinds[rng.NextBelow(4)];
+        CpuSet set = kind == ConsideredKind::kWakeup
+                         ? RandomSet(rng)
+                         : balance_sets[rng.NextBelow(balance_sets.size())];
+        // The tag (3), time, initiator and kind are mixed before the set.
+        uint64_t h = sink.digest();
+        for (uint64_t v : {uint64_t{3}, static_cast<uint64_t>(now), static_cast<uint64_t>(cpu),
+                           static_cast<uint64_t>(kind)}) {
+          h = CanonicalMix(h, v);
+        }
+        low_bytes.insert(h & 0xff);
+        sink.OnConsidered(now, cpu, set, kind);
+        ref.OnConsidered(now, cpu, set, kind);
+        break;
+      }
+    }
+    ASSERT_EQ(sink.digest(), ref.digest()) << "event " << i;
+  }
+  EXPECT_EQ(sink.events(), ref.events());
+  EXPECT_EQ(low_bytes.size(), 256u);
 }
 
 TEST(Scenario, RunProducesActivity) {
